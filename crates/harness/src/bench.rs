@@ -5,7 +5,7 @@
 //! load points and the CPU thread sweep — entirely on deterministic
 //! models (the cycle-accurate simulator for the FPGA backends, the
 //! calibrated Cascade Lake model for the CPU; never wall clock), so two
-//! runs with the same seed produce byte-identical reports. [`compare`]
+//! runs with the same seed produce byte-identical reports. [`GATE`]
 //! gates one report against a committed baseline
 //! (`results/bench_baseline.json`): throughput may not drop and latency
 //! may not rise by more than the tolerance, and the metric set itself
@@ -13,6 +13,7 @@
 
 use crate::json::Json;
 use crate::metrics::RunMetrics;
+use crate::rate_gate::{Better, Metric, RateGate, RateSpec};
 use crate::workload::Workload;
 use cds_cpu::parallel::price_parallel_stats;
 use cds_cpu::{CpuCdsEngine, CpuPerfModel};
@@ -24,10 +25,6 @@ use cds_power::{CpuPowerModel, FpgaPowerModel};
 use dataflow_sim::resource::Device;
 use dataflow_sim::trace::TraceRecorder;
 use std::rc::Rc;
-
-/// Version of the bench JSON schema. Bump on any incompatible change to
-/// the report layout so `--check` refuses stale baselines loudly.
-pub const SCHEMA_VERSION: u64 = 1;
 
 /// Default option-batch size for `bench` runs — smaller than the
 /// table-rendering default so the five-engine simulations stay quick in
@@ -41,74 +38,29 @@ const STREAMING_ARRIVALS: usize = 48;
 /// CPU thread counts swept (the paper's machine tops out at 24 cores).
 const CPU_THREADS: [u32; 6] = [1, 2, 4, 8, 16, 24];
 
-/// One full deterministic benchmark run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchReport {
-    /// Schema version of the serialised form ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// RNG seed the workload and arrivals were generated from.
-    pub seed: u64,
-    /// Option-batch size of the batch experiments.
-    pub batch: usize,
-    /// All runs, in ladder order.
-    pub metrics: Vec<RunMetrics>,
-}
-
-impl BenchReport {
-    /// Look a run up by its stable name.
-    pub fn find(&self, name: &str) -> Option<&RunMetrics> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
-    /// Serialise to the versioned JSON schema.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("schema_version", Json::Number(self.schema_version as f64)),
-            ("seed", Json::Number(self.seed as f64)),
-            ("batch", Json::Number(self.batch as f64)),
-            ("metrics", Json::Array(self.metrics.iter().map(RunMetrics::to_json).collect())),
-        ])
-    }
-
-    /// Pretty-printed JSON document (stable: object keys are sorted).
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("bench report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "bench schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let metrics = value
-            .get("metrics")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "bench report missing 'metrics' array".to_string())?
-            .iter()
-            .map(RunMetrics::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BenchReport {
-            schema_version,
-            seed: num("seed")? as u64,
-            batch: num("batch")? as usize,
-            metrics,
-        })
-    }
-
-    /// Parse from JSON text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&crate::json::parse(text)?)
-    }
-}
+/// The ladder gate: each [`RunMetrics`] record is a row (under
+/// `metrics`) whose throughput may not drop and whose p99 and max
+/// latency may not rise by more than the tolerance.
+pub static GATE: RateSpec = RateSpec {
+    gate: "bench",
+    schema_version: 1,
+    rows: "metrics",
+    metrics: &[
+        Metric {
+            key: "options_per_second",
+            what: "throughput",
+            unit: "options/s",
+            better: Better::Higher,
+        },
+        Metric { key: "p99_latency_us", what: "p99 latency", unit: "us", better: Better::Lower },
+        Metric { key: "max_latency_us", what: "max latency", unit: "us", better: Better::Lower },
+    ],
+    context: &[],
+    floors: &[],
+    invariants: &[],
+    tolerance: 0.10,
+    baseline: "results/bench_baseline.json",
+};
 
 /// Kebab-case metric slug of a Table I variant.
 fn variant_slug(v: EngineVariant) -> &'static str {
@@ -128,10 +80,10 @@ fn traced_config(v: EngineVariant) -> EngineConfig {
     config
 }
 
-/// Execute the full ladder. Deterministic: same `seed` and `batch` give
-/// an identical report (all FPGA numbers come from the discrete-event
-/// simulator, all CPU numbers from the calibrated model).
-pub fn run(seed: u64, batch: usize) -> BenchReport {
+/// Execute the full ladder, in ladder order. Deterministic: same `seed`
+/// and `batch` give identical metrics (all FPGA numbers come from the
+/// discrete-event simulator, all CPU numbers from the calibrated model).
+pub fn run(seed: u64, batch: usize) -> Vec<RunMetrics> {
     let w = Workload::paper(seed, batch);
     let fpga_power = FpgaPowerModel::alveo_u280_cds();
     let cpu_power = CpuPowerModel::xeon_8260m();
@@ -211,68 +163,21 @@ pub fn run(seed: u64, batch: usize) -> BenchReport {
         ));
     }
 
-    BenchReport { schema_version: SCHEMA_VERSION, seed, batch, metrics }
+    metrics
 }
 
-/// Gate `current` against `baseline`: returns one message per detected
-/// regression (empty = pass). With tolerance `t`, throughput below
-/// `baseline·(1−t)` and latency above `baseline·(1+t)` regress; metrics
-/// present on only one side are schema drift and also fail.
-pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    for base in &baseline.metrics {
-        let Some(cur) = current.find(&base.name) else {
-            problems.push(format!("metric '{}' missing from current run", base.name));
-            continue;
-        };
-        if base.options_per_second > 0.0
-            && cur.options_per_second < base.options_per_second * (1.0 - tolerance)
-        {
-            problems.push(format!(
-                "{}: throughput regressed {:.2} -> {:.2} options/s (tolerance {:.0}%)",
-                base.name,
-                base.options_per_second,
-                cur.options_per_second,
-                tolerance * 100.0
-            ));
-        }
-        for (what, b, c) in [
-            ("p99 latency", base.p99_latency_us, cur.p99_latency_us),
-            ("max latency", base.max_latency_us, cur.max_latency_us),
-        ] {
-            if b > 0.0 && c > b * (1.0 + tolerance) {
-                problems.push(format!(
-                    "{}: {what} regressed {b:.2} -> {c:.2} us (tolerance {:.0}%)",
-                    base.name,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    for cur in &current.metrics {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "metric '{}' not in baseline — regenerate results/bench_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    problems
+/// The gated report of a ladder run.
+pub fn report(seed: u64, batch: usize, metrics: &[RunMetrics]) -> RateGate {
+    RateGate::report(
+        &GATE,
+        vec![("seed", Json::Number(seed as f64)), ("batch", Json::Number(batch as f64))],
+        metrics.iter().map(RunMetrics::to_json).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small_run() -> BenchReport {
-        run(5, 10)
-    }
 
     #[test]
     fn bench_is_deterministic() {
@@ -281,13 +186,16 @@ mod tests {
         // clock or unseeded randomness.
         let a = run(7, 12);
         let b = run(7, 12);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.pretty(), b.pretty());
+        assert_eq!(a, b);
+        assert_eq!(report(7, 12, &a).pretty(), report(7, 12, &b).pretty());
     }
 
     #[test]
     fn ladder_covers_all_experiments() {
-        let r = small_run();
+        let r = run(5, 10);
+        let find = |name: &str| {
+            r.iter().find(|m| m.name == name).unwrap_or_else(|| panic!("missing metric {name}"))
+        };
         for name in [
             "table1/cpu-core",
             "table1/xilinx-baseline",
@@ -306,75 +214,18 @@ mod tests {
             "cpu/threads-1",
             "cpu/threads-24",
         ] {
-            let m = r.find(name).unwrap_or_else(|| panic!("missing metric {name}"));
+            let m = find(name);
             assert!(m.options_per_second > 0.0, "{name} has zero throughput");
             assert!(m.watts > 0.0, "{name} has zero power");
         }
         // Traced FPGA runs must carry real telemetry.
-        let vec = r.find("table1/vectorised").unwrap();
+        let vec = find("table1/vectorised");
         assert!(vec.mean_utilisation > 0.0 && vec.mean_utilisation <= 1.0);
         assert!(vec.occupancy_high_water > 0);
         // Streaming overload must expose queueing in the percentiles.
-        let over = r.find("streaming/overload").unwrap();
+        let over = find("streaming/overload");
         assert!(over.p50_latency_us <= over.p99_latency_us);
         assert!(over.p99_latency_us <= over.max_latency_us);
         assert!(over.backpressure_events > 0, "overload must backpressure");
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = small_run();
-        let text = r.pretty();
-        let back = BenchReport::parse(&text).expect("parse own output");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = small_run();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = BenchReport::parse(&r.pretty()).unwrap_err();
-        assert!(err.contains("schema version"), "{err}");
-    }
-
-    #[test]
-    fn compare_passes_identical_runs() {
-        let r = small_run();
-        assert!(compare(&r, &r, 0.10).is_empty());
-    }
-
-    #[test]
-    fn compare_flags_artificial_slowdown() {
-        let base = small_run();
-        let mut slow = base.clone();
-        // Slow one variant by 15% — beyond the 10% gate.
-        let m = slow.metrics.iter_mut().find(|m| m.name == "table1/vectorised").unwrap();
-        m.options_per_second *= 0.85;
-        let problems = compare(&base, &slow, 0.10);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("table1/vectorised"), "{problems:?}");
-        assert!(problems[0].contains("throughput"), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_latency_regression_and_drift() {
-        let base = small_run();
-        let mut bad = base.clone();
-        let m = bad.metrics.iter_mut().find(|m| m.name == "streaming/saturated").unwrap();
-        m.p99_latency_us *= 2.0;
-        bad.metrics.retain(|m| m.name != "cpu/threads-4");
-        let problems = compare(&base, &bad, 0.10);
-        assert!(problems.iter().any(|p| p.contains("p99 latency")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("missing from current")), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_tolerates_small_jitter() {
-        let base = small_run();
-        let mut wiggle = base.clone();
-        for m in &mut wiggle.metrics {
-            m.options_per_second *= 0.95; // within the 10% gate
-        }
-        assert!(compare(&base, &wiggle, 0.10).is_empty());
     }
 }

@@ -8,11 +8,13 @@
 //! the streaming and multi-engine deployments. Every scenario is **deterministic**
 //! (seeded fault placement, discrete-event timing, no wall clock), so two
 //! runs produce byte-identical reports and the committed baseline
-//! (`results/chaos_baseline.json`) can be gated with **exact** equality:
+//! (`results/chaos_baseline.json`) can be gated with **exact** equality
+//! on every field ([`VERDICTS`]):
 //! any change in survival behaviour, retry counts, or shed counts is a
 //! regression.
 
 use crate::json::Json;
+use crate::verdict::{Case, MatrixSpec, VerdictMatrix};
 use cds_engine::config::EngineVariant;
 use cds_engine::multi::MultiEngine;
 use cds_engine::retry::RetryPolicy;
@@ -27,10 +29,28 @@ use dataflow_sim::fault::{FaultEvent, FaultPlan};
 use dataflow_sim::Cycle;
 use std::rc::Rc;
 
-/// Version of the chaos JSON schema (independent of the bench schema).
-/// v2 added `options_quarantined`, per-case `fault_events` hit lists and
-/// the corrupt-scrub / kill-resume scenarios.
-pub const SCHEMA_VERSION: u64 = 2;
+/// The chaos gate: every field of [`ChaosCase`] is gated, exactly.
+/// Schema v2 added `options_quarantined`, per-case `fault_events` hit
+/// lists and the corrupt-scrub / kill-resume scenarios.
+pub static VERDICTS: MatrixSpec = MatrixSpec {
+    gate: "chaos",
+    schema_version: 2,
+    fields: &[
+        "faults_injected",
+        "options_total",
+        "options_completed",
+        "options_retried",
+        "options_shed",
+        "options_lost",
+        "options_quarantined",
+        "fault_events",
+        "degraded",
+        "spreads_match_clean",
+        "p99_bounded",
+        "survived",
+    ],
+    baseline: "results/chaos_baseline.json",
+};
 
 /// Outcome of one chaos scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,177 +87,33 @@ pub struct ChaosCase {
 }
 
 impl ChaosCase {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("faults_injected", Json::Number(self.faults_injected as f64)),
-            ("options_total", Json::Number(self.options_total as f64)),
-            ("options_completed", Json::Number(self.options_completed as f64)),
-            ("options_retried", Json::Number(self.options_retried as f64)),
-            ("options_shed", Json::Number(self.options_shed as f64)),
-            ("options_lost", Json::Number(self.options_lost as f64)),
-            ("options_quarantined", Json::Number(self.options_quarantined as f64)),
-            (
-                "fault_events",
-                Json::Array(self.fault_events.iter().map(|e| Json::Str(e.clone())).collect()),
-            ),
-            ("degraded", Json::Bool(self.degraded)),
-            ("spreads_match_clean", Json::Bool(self.spreads_match_clean)),
-            ("p99_bounded", Json::Bool(self.p99_bounded)),
-            ("survived", Json::Bool(self.survived)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .map(|x| x as u64)
-                .ok_or_else(|| format!("chaos case missing numeric field '{key}'"))
-        };
-        let flag = |key: &str| -> Result<bool, String> {
-            match value.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                _ => Err(format!("chaos case missing boolean field '{key}'")),
-            }
-        };
-        Ok(ChaosCase {
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("chaos case missing 'name'")?
-                .to_string(),
-            faults_injected: num("faults_injected")?,
-            options_total: num("options_total")?,
-            options_completed: num("options_completed")?,
-            options_retried: num("options_retried")?,
-            options_shed: num("options_shed")?,
-            options_lost: num("options_lost")?,
-            options_quarantined: num("options_quarantined")?,
-            fault_events: value
-                .get("fault_events")
-                .and_then(Json::as_array)
-                .ok_or("chaos case missing 'fault_events' array")?
-                .iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string fault_events entry".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            degraded: flag("degraded")?,
-            spreads_match_clean: flag("spreads_match_clean")?,
-            p99_bounded: flag("p99_bounded")?,
-            survived: flag("survived")?,
-        })
+    /// The gated row, in [`VERDICTS`] field order.
+    fn row(&self) -> Case {
+        let n = |x: u64| Json::Number(x as f64);
+        let events = self.fault_events.iter().map(|e| Json::Str(e.clone())).collect();
+        Case {
+            name: self.name.clone(),
+            values: vec![
+                n(self.faults_injected),
+                n(self.options_total),
+                n(self.options_completed),
+                n(self.options_retried),
+                n(self.options_shed),
+                n(self.options_lost),
+                n(self.options_quarantined),
+                Json::Array(events),
+                Json::Bool(self.degraded),
+                Json::Bool(self.spreads_match_clean),
+                Json::Bool(self.p99_bounded),
+                Json::Bool(self.survived),
+            ],
+        }
     }
 }
 
-/// A full chaos-matrix run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosReport {
-    /// Schema version of the serialised form ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Seed the fault placements and workloads derive from.
-    pub seed: u64,
-    /// All scenarios, in matrix order.
-    pub cases: Vec<ChaosCase>,
-}
-
-impl ChaosReport {
-    /// Look a scenario up by its stable name.
-    pub fn find(&self, name: &str) -> Option<&ChaosCase> {
-        self.cases.iter().find(|c| c.name == name)
-    }
-
-    /// True when every scenario survived.
-    pub fn all_survived(&self) -> bool {
-        self.cases.iter().all(|c| c.survived)
-    }
-
-    /// Serialise to the versioned JSON schema.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("schema_version", Json::Number(self.schema_version as f64)),
-            ("seed", Json::Number(self.seed as f64)),
-            ("cases", Json::Array(self.cases.iter().map(ChaosCase::to_json).collect())),
-        ])
-    }
-
-    /// Pretty-printed JSON document (stable: object keys are sorted).
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("chaos report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "chaos schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let cases = value
-            .get("cases")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "chaos report missing 'cases' array".to_string())?
-            .iter()
-            .map(ChaosCase::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ChaosReport { schema_version, seed: num("seed")? as u64, cases })
-    }
-
-    /// Parse from JSON text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&crate::json::parse(text)?)
-    }
-}
-
-/// Gate `current` against `baseline`. The matrix is fully deterministic,
-/// so the comparison is **exact**: every baseline case must be present
-/// and field-for-field identical, and no new cases may appear silently.
-pub fn compare(baseline: &ChaosReport, current: &ChaosReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    if baseline.seed != current.seed {
-        problems.push(format!(
-            "seed mismatch: baseline {} vs current {} — rerun with --seed {}",
-            baseline.seed, current.seed, baseline.seed
-        ));
-    }
-    for base in &baseline.cases {
-        match current.find(&base.name) {
-            None => problems.push(format!("case '{}' missing from current run", base.name)),
-            Some(cur) if cur != base => {
-                problems.push(format!(
-                    "case '{}' changed: baseline {base:?} vs current {cur:?}",
-                    base.name
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for cur in &current.cases {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "case '{}' not in baseline — regenerate results/chaos_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    problems
+/// The gated matrix of a chaos run.
+pub fn matrix(seed: u64, cases: &[ChaosCase]) -> VerdictMatrix {
+    VerdictMatrix { spec: &VERDICTS, seed, cases: cases.iter().map(ChaosCase::row).collect() }
 }
 
 /// Near-equality for recovered spreads: the CPU fallback is numerically
@@ -257,8 +133,8 @@ fn event_strings(events: &[FaultEvent]) -> Vec<String> {
     events.iter().map(FaultEvent::to_string).collect()
 }
 
-/// Execute the chaos matrix. Deterministic in `seed`.
-pub fn run(seed: u64) -> ChaosReport {
+/// Execute the chaos matrix, in matrix order. Deterministic in `seed`.
+pub fn run(seed: u64) -> Vec<ChaosCase> {
     let market = MarketData::paper_workload(seed);
     let shared = Rc::new(market.clone());
     let config = EngineVariant::Vectorised.config();
@@ -615,15 +491,19 @@ pub fn run(seed: u64) -> ChaosReport {
         });
     }
 
-    ChaosReport { schema_version: SCHEMA_VERSION, seed, cases }
+    cases
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report() -> ChaosReport {
+    fn report() -> Vec<ChaosCase> {
         run(42)
+    }
+
+    fn find<'a>(cases: &'a [ChaosCase], name: &str) -> Option<&'a ChaosCase> {
+        cases.iter().find(|c| c.name == name)
     }
 
     #[test]
@@ -631,16 +511,16 @@ mod tests {
         let a = run(7);
         let b = run(7);
         assert_eq!(a, b);
-        assert_eq!(a.pretty(), b.pretty());
+        assert_eq!(matrix(7, &a).pretty(), matrix(7, &b).pretty());
     }
 
     #[test]
     fn every_scenario_survives() {
         let r = report();
-        for c in &r.cases {
+        for c in &r {
             assert!(c.survived, "case {} failed: {c:?}", c.name);
         }
-        assert!(r.all_survived());
+        assert!(matrix(42, &r).all_survived());
     }
 
     #[test]
@@ -657,12 +537,12 @@ mod tests {
             "multi/corrupt-scrub",
             "streaming/kill-resume",
         ] {
-            assert!(r.find(name).is_some(), "missing case {name}");
+            assert!(find(&r, name).is_some(), "missing case {name}");
         }
         // The acceptance scenario's exact contract.
-        let death = r.find("multi/engine-death").expect("engine-death case");
+        let death = find(&r, "multi/engine-death").expect("engine-death case");
         assert!(death.degraded && death.options_retried > 0 && death.spreads_match_clean);
-        let shed = r.find("streaming/shed").expect("shed case");
+        let shed = find(&r, "streaming/shed").expect("shed case");
         assert!(shed.options_shed > 0 && shed.p99_bounded && shed.options_lost == 0);
     }
 
@@ -670,7 +550,7 @@ mod tests {
     fn corruption_scenarios_quarantine_and_converge() {
         let r = report();
         for name in ["streaming/corrupt-scrub", "multi/corrupt-scrub"] {
-            let c = r.find(name).expect(name);
+            let c = find(&r, name).expect(name);
             assert_eq!(c.options_quarantined, 2, "{name}: {c:?}");
             assert!(c.spreads_match_clean, "{name} must converge to fault-free spreads");
             assert_eq!(c.fault_events.len(), 2, "{name}: {:?}", c.fault_events);
@@ -684,7 +564,7 @@ mod tests {
     #[test]
     fn kill_resume_recovers_every_option() {
         let r = report();
-        let c = r.find("streaming/kill-resume").expect("kill-resume case");
+        let c = find(&r, "streaming/kill-resume").expect("kill-resume case");
         assert!(c.options_retried > 0, "the resume must have had work left: {c:?}");
         assert_eq!(c.options_lost, 0);
         assert_eq!(c.options_completed, c.options_total);
@@ -693,44 +573,12 @@ mod tests {
 
     #[test]
     fn stall_hits_name_the_stream_and_option() {
-        let c = report().find("streaming/stall").cloned().expect("stall case");
+        let c = find(&report(), "streaming/stall").cloned().expect("stall case");
         assert_eq!(c.fault_events.len() as u64, c.faults_injected);
         assert!(
             c.fault_events.iter().all(|h| h.starts_with("stall hazard_out[")),
             "{:?}",
             c.fault_events
         );
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = report();
-        let back = ChaosReport::parse(&r.pretty()).expect("parse own output");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = report();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = match ChaosReport::parse(&r.pretty()) {
-            Err(e) => e,
-            Ok(_) => panic!("future schema must be rejected"),
-        };
-        assert!(err.contains("schema version"), "{err}");
-    }
-
-    #[test]
-    fn compare_is_exact() {
-        let base = report();
-        assert!(compare(&base, &base).is_empty());
-        let mut changed = base.clone();
-        changed.cases[0].options_retried += 1;
-        let problems = compare(&base, &changed);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("changed"), "{problems:?}");
-        let mut missing = base.clone();
-        missing.cases.pop();
-        assert!(compare(&base, &missing).iter().any(|p| p.contains("missing")));
     }
 }

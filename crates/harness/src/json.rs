@@ -66,6 +66,12 @@ impl Json {
         }
     }
 
+    /// Serialise on one line (whitespace inside strings collapses too):
+    /// for problem messages, not for round trips.
+    pub fn inline(&self) -> String {
+        self.pretty().split_whitespace().collect::<Vec<_>>().join(" ")
+    }
+
     /// Serialise with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();

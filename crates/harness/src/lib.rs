@@ -51,12 +51,14 @@ pub mod journal;
 pub mod json;
 pub mod loadgen;
 pub mod metrics;
+pub mod rate_gate;
 pub mod server_chaos;
 pub mod storage_chaos;
 pub mod tables;
 pub mod throughput;
 pub mod tick_storm;
 pub mod validate;
+pub mod verdict;
 pub mod workload;
 
 /// Default option-batch size for throughput experiments (large enough to

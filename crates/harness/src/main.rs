@@ -53,7 +53,7 @@
 //! fault scenario, default `corrupt-spread`); `replay --check` re-executes
 //! a journal and exits 1 unless the spreads and write-ahead checkpoint
 //! stream are bit-identical. `conformance` checks every metamorphic
-//! relation against the reference and all seventeen price routes, fuzzes
+//! relation against the reference and all sixteen price routes, fuzzes
 //! `--options N` adversarial cases differentially, and with
 //! `--check CORPUS_DIR` replays the committed corpus; any divergence or
 //! violated relation exits 1. IO and usage errors exit 2 with a message;
@@ -66,16 +66,20 @@ use cds_harness::figures;
 use cds_harness::format::{rate, ratio, render_csv, render_table};
 use cds_harness::hostcpu;
 use cds_harness::journal;
+use cds_harness::json::Json;
 use cds_harness::loadgen;
+use cds_harness::rate_gate::{RateGate, RateSpec};
 use cds_harness::server_chaos;
 use cds_harness::storage_chaos;
 use cds_harness::tables;
 use cds_harness::throughput;
 use cds_harness::tick_storm;
 use cds_harness::validate;
+use cds_harness::verdict::{MatrixSpec, VerdictMatrix};
 use cds_harness::workload::Workload;
 use std::path::{Path, PathBuf};
 
+#[derive(Clone)]
 struct Args {
     command: String,
     options: Option<usize>,
@@ -533,104 +537,175 @@ fn cmd_hostcpu(w: &Workload, csv: &Option<PathBuf>) -> CliResult {
     write_csv(csv, "host_cpu.csv", &headers, &rows)
 }
 
+/// What the gate driver needs from a report: [`VerdictMatrix`] and
+/// [`RateGate`] both provide it.
+trait Gated: Sized {
+    /// The static description of one gate of this report type.
+    type Spec: 'static;
+    /// The gate's name, for messages.
+    fn name(spec: &Self::Spec) -> &'static str;
+    fn parse(spec: &'static Self::Spec, text: &str) -> Result<Self, String>;
+    fn pretty(&self) -> String;
+    /// The survival-only verdict of a run gated against no baseline.
+    fn survived(&self) -> bool;
+    /// Problems of `current` against `self` as the baseline (empty =
+    /// pass), and the detail of the PASS line.
+    fn check(&self, current: &Self, tolerance: Option<f64>) -> (Vec<String>, String);
+}
+
+impl Gated for VerdictMatrix {
+    type Spec = MatrixSpec;
+
+    fn name(spec: &MatrixSpec) -> &'static str {
+        spec.gate
+    }
+
+    fn parse(spec: &'static MatrixSpec, text: &str) -> Result<Self, String> {
+        VerdictMatrix::parse(spec, text)
+    }
+
+    fn pretty(&self) -> String {
+        VerdictMatrix::pretty(self)
+    }
+
+    fn survived(&self) -> bool {
+        self.all_survived()
+    }
+
+    fn check(&self, current: &Self, _: Option<f64>) -> (Vec<String>, String) {
+        (self.compare(current), format!("{} scenarios identical", self.cases.len()))
+    }
+}
+
+impl Gated for RateGate {
+    type Spec = RateSpec;
+
+    fn name(spec: &RateSpec) -> &'static str {
+        spec.gate
+    }
+
+    fn parse(spec: &'static RateSpec, text: &str) -> Result<Self, String> {
+        RateGate::parse(spec, text)
+    }
+
+    fn pretty(&self) -> String {
+        RateGate::pretty(self)
+    }
+
+    fn survived(&self) -> bool {
+        true
+    }
+
+    fn check(&self, current: &Self, tolerance: Option<f64>) -> (Vec<String>, String) {
+        let tolerance = tolerance.unwrap_or(self.spec.tolerance);
+        (self.compare(current, tolerance), self.summary(tolerance))
+    }
+}
+
+/// The one gate driver behind every baseline-checked command: read the
+/// `--check` baseline first (a bad one exits 2 before any work), run
+/// (which prints the table), write `--json`, then gate against the
+/// baseline (exit 1 on any problem) or, without one, on the run's own
+/// survival verdict.
+fn gate<R: Gated>(
+    args: &Args,
+    spec: &'static R::Spec,
+    run: impl FnOnce() -> Result<R, CliError>,
+) -> CliResult {
+    let name = R::name(spec);
+    let baseline = match &args.check_baseline {
+        Some(path) => Some((path, read_baseline(path, |text| R::parse(spec, text))?)),
+        None => None,
+    };
+    let report = run()?;
+    if let Some(path) = &args.json_path {
+        write_json_report(path, &report.pretty())?;
+        println!("[{name} report written to {}]", path.display());
+    }
+    let Some((path, baseline)) = baseline else {
+        if report.survived() {
+            return Ok(());
+        }
+        eprintln!("{name} matrix: FAIL (a scenario did not survive)");
+        return Err(CliError::GateFailed);
+    };
+    let (problems, summary) = baseline.check(&report, args.tolerance);
+    if problems.is_empty() {
+        println!("check against {}: PASS ({summary})", path.display());
+        return Ok(());
+    }
+    eprintln!("check against {}: FAIL", path.display());
+    for p in &problems {
+        eprintln!("  regression: {p}");
+    }
+    Err(CliError::GateFailed)
+}
+
+/// Print one metric of every row of a rate report as a two-column table.
+fn print_rates(report: &RateGate, key: &str, header: &str) {
+    let rows: Vec<Vec<String>> = report
+        .rows()
+        .iter()
+        .map(|r| {
+            let value = r.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+            vec![RateGate::name(r).to_string(), rate(value)]
+        })
+        .collect();
+    println!("{}", render_table(&["Row", header], &rows));
+}
+
+fn yes_no(flag: bool, no: &str) -> String {
+    if flag { "yes" } else { no }.to_string()
+}
+
+fn pass_fail(survived: bool) -> String {
+    if survived { "PASS" } else { "FAIL" }.to_string()
+}
+
 fn cmd_bench_throughput(args: &Args) -> CliResult {
     let batch = args.options.unwrap_or(throughput::DEFAULT_THROUGHPUT_BATCH);
     let threads = args.threads.unwrap_or(throughput::DEFAULT_THROUGHPUT_THREADS);
-    let tolerance = args.tolerance.unwrap_or(throughput::DEFAULT_THROUGHPUT_TOLERANCE);
-    // Fail fast on an unreadable/malformed baseline before measuring.
-    let baseline = match &args.check_baseline {
-        Some(path) => Some((path, read_baseline(path, throughput::ThroughputReport::parse)?)),
-        None => None,
-    };
-    println!(
-        "== Wall-clock throughput (seed {}, batch {batch}, {threads} pinned threads) ==\n",
-        args.seed
-    );
-    let report = throughput::run(args.seed, batch, threads);
-    let headers = ["Row", "Options/s"];
-    let rows: Vec<Vec<String>> =
-        report.rows.iter().map(|r| vec![r.name.clone(), rate(r.options_per_second)]).collect();
-    println!("{}", render_table(&headers, &rows));
-    println!(
-        "lane kernel speedup over scalar (1 thread): {} (required ≥ {})\n",
-        ratio(report.lane_speedup_1t),
-        ratio(report.min_lane_speedup)
-    );
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[throughput report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = throughput::compare(&baseline, &report, tolerance);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} rows within {:.0}%, speedup floor {:.2}x cleared)",
-                path.display(),
-                baseline.rows.len(),
-                tolerance * 100.0,
-                baseline.min_lane_speedup
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    }
-    Ok(())
+    gate(args, &throughput::GATE, || {
+        println!(
+            "== Wall-clock throughput (seed {}, batch {batch}, {threads} pinned threads) ==\n",
+            args.seed
+        );
+        let report = throughput::run(args.seed, batch, threads);
+        print_rates(&report, "options_per_second", "Options/s");
+        println!(
+            "lane kernel speedup over scalar (1 thread): {} (required ≥ {})\n",
+            ratio(report.num("lane_speedup_1t")),
+            ratio(report.num("min_lane_speedup"))
+        );
+        Ok(report)
+    })
 }
 
 fn cmd_bench_tick_storm(args: &Args) -> CliResult {
     let residents = args.options.unwrap_or(tick_storm::DEFAULT_TICK_RESIDENTS);
-    let tolerance = args.tolerance.unwrap_or(tick_storm::DEFAULT_TICK_TOLERANCE);
-    // Fail fast on an unreadable/malformed baseline before measuring.
-    let baseline = match &args.check_baseline {
-        Some(path) => Some((path, read_baseline(path, tick_storm::TickStormReport::parse)?)),
-        None => None,
-    };
-    println!("== Incremental tick storm (seed {}, {residents} resident options) ==\n", args.seed);
-    let report = tick_storm::run(args.seed, residents);
-    let headers = ["Row", "Per second"];
-    let rows: Vec<Vec<String>> =
-        report.rows.iter().map(|r| vec![r.name.clone(), rate(r.per_second)]).collect();
-    println!("{}", render_table(&headers, &rows));
-    println!(
-        "off-lattice 1-point ticks vs full reprice: {} (required ≥ {}); \
-         {} lattice-free knots, mean affected set {:.1} of {residents}",
-        ratio(report.incremental_speedup),
-        ratio(report.min_tick_speedup),
-        report.free_knots,
-        report.mean_affected
-    );
-    println!(
-        "bitwise clean: {} mismatches vs full reprice; zero-delta contract: {}\n",
-        report.bit_mismatches,
-        if report.zero_delta_clean { "clean" } else { "VIOLATED" }
-    );
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[tick-storm report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = tick_storm::compare(&baseline, &report, tolerance);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} rows within {:.0}%, speedup floor {:.1}x cleared)",
-                path.display(),
-                baseline.rows.len(),
-                tolerance * 100.0,
-                baseline.min_tick_speedup
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    }
-    Ok(())
+    gate(args, &tick_storm::GATE, || {
+        println!(
+            "== Incremental tick storm (seed {}, {residents} resident options) ==\n",
+            args.seed
+        );
+        let report = tick_storm::run(args.seed, residents);
+        print_rates(&report, "per_second", "Per second");
+        println!(
+            "off-lattice 1-point ticks vs full reprice: {} (required ≥ {}); \
+             {} lattice-free knots, mean affected set {:.1} of {residents}",
+            ratio(report.num("incremental_speedup")),
+            ratio(report.num("min_tick_speedup")),
+            report.num("free_knots"),
+            report.num("mean_affected")
+        );
+        let clean = report.get("zero_delta_clean") == Some(&Json::Bool(true));
+        println!(
+            "bitwise clean: {} mismatches vs full reprice; zero-delta contract: {}\n",
+            report.num("bit_mismatches"),
+            if clean { "clean" } else { "VIOLATED" }
+        );
+        Ok(report)
+    })
 }
 
 fn cmd_bench(args: &Args) -> CliResult {
@@ -641,137 +716,74 @@ fn cmd_bench(args: &Args) -> CliResult {
         return cmd_bench_tick_storm(args);
     }
     let batch = args.options.unwrap_or(bench::DEFAULT_BENCH_BATCH);
-    // Fail fast on an unreadable/malformed baseline before the ladder runs.
-    let baseline = match &args.check_baseline {
-        Some(path) => Some((path, read_baseline(path, bench::BenchReport::parse)?)),
-        None => None,
-    };
-    println!("== Machine-readable benchmark ladder (seed {}, batch {batch}) ==\n", args.seed);
-    let report = bench::run(args.seed, batch);
-    let headers = ["Metric", "Backend", "Options/s", "p99 (us)", "Util", "Backpressure"];
-    let rows: Vec<Vec<String>> = report
-        .metrics
-        .iter()
-        .map(|m| {
-            vec![
-                m.name.clone(),
-                m.backend.clone(),
-                rate(m.options_per_second),
-                if m.p99_latency_us > 0.0 {
-                    format!("{:.1}", m.p99_latency_us)
-                } else {
-                    "-".to_string()
-                },
-                if m.mean_utilisation > 0.0 {
-                    format!("{:.2}", m.mean_utilisation)
-                } else {
-                    "-".to_string()
-                },
-                m.backpressure_events.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[bench report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let tolerance = args.tolerance.unwrap_or(0.10);
-        let problems = bench::compare(&baseline, &report, tolerance);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} metrics within {:.0}%)",
-                path.display(),
-                baseline.metrics.len(),
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    }
-    Ok(())
+    gate(args, &bench::GATE, || {
+        println!("== Machine-readable benchmark ladder (seed {}, batch {batch}) ==\n", args.seed);
+        let metrics = bench::run(args.seed, batch);
+        let headers = ["Metric", "Backend", "Options/s", "p99 (us)", "Util", "Backpressure"];
+        let positive = |x: f64, text: String| if x > 0.0 { text } else { "-".to_string() };
+        let rows: Vec<Vec<String>> = metrics
+            .iter()
+            .map(|m| {
+                vec![
+                    m.name.clone(),
+                    m.backend.clone(),
+                    rate(m.options_per_second),
+                    positive(m.p99_latency_us, format!("{:.1}", m.p99_latency_us)),
+                    positive(m.mean_utilisation, format!("{:.2}", m.mean_utilisation)),
+                    m.backpressure_events.to_string(),
+                ]
+            })
+            .collect();
+        println!("{}", render_table(&headers, &rows));
+        Ok(bench::report(args.seed, batch, &metrics))
+    })
 }
 
-fn cmd_chaos(args: &Args, standalone: bool) -> CliResult {
-    // Fail fast on an unreadable/malformed baseline before the matrix runs.
-    let baseline = match args.check_baseline.as_ref().filter(|_| standalone) {
-        Some(path) => Some((path, read_baseline(path, chaos::ChaosReport::parse)?)),
-        None => None,
-    };
-    println!("== Fault-injection chaos matrix (seed {}) ==\n", args.seed);
-    let report = chaos::run(args.seed);
-    let headers = [
-        "Scenario",
-        "Faults",
-        "Total",
-        "Done",
-        "Retried",
-        "Shed",
-        "Lost",
-        "Quarantined",
-        "Degraded",
-        "Survived",
-    ];
-    let rows: Vec<Vec<String>> = report
-        .cases
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.clone(),
-                c.faults_injected.to_string(),
-                c.options_total.to_string(),
-                c.options_completed.to_string(),
-                c.options_retried.to_string(),
-                c.options_shed.to_string(),
-                c.options_lost.to_string(),
-                c.options_quarantined.to_string(),
-                if c.degraded { "yes" } else { "no" }.to_string(),
-                if c.survived { "PASS" } else { "FAIL" }.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-    // What each injected fault actually hit: stream, token, option.
-    println!("fault hits:");
-    for c in &report.cases {
-        if c.fault_events.is_empty() {
-            continue;
+fn cmd_chaos(args: &Args) -> CliResult {
+    gate(args, &chaos::VERDICTS, || {
+        println!("== Fault-injection chaos matrix (seed {}) ==\n", args.seed);
+        let cases = chaos::run(args.seed);
+        let headers = [
+            "Scenario",
+            "Faults",
+            "Total",
+            "Done",
+            "Retried",
+            "Shed",
+            "Lost",
+            "Quarantined",
+            "Degraded",
+            "Survived",
+        ];
+        let rows: Vec<Vec<String>> = cases
+            .iter()
+            .map(|c| {
+                vec![
+                    c.name.clone(),
+                    c.faults_injected.to_string(),
+                    c.options_total.to_string(),
+                    c.options_completed.to_string(),
+                    c.options_retried.to_string(),
+                    c.options_shed.to_string(),
+                    c.options_lost.to_string(),
+                    c.options_quarantined.to_string(),
+                    yes_no(c.degraded, "no"),
+                    pass_fail(c.survived),
+                ]
+            })
+            .collect();
+        println!("{}", render_table(&headers, &rows));
+        // What each injected fault actually hit: stream, token, option.
+        println!("fault hits:");
+        for c in cases.iter().filter(|c| !c.fault_events.is_empty()) {
+            let shown = c.fault_events.iter().take(4).cloned().collect::<Vec<_>>().join("; ");
+            let more = c.fault_events.len().saturating_sub(4);
+            let tail = if more > 0 { format!("; +{more} more") } else { String::new() };
+            println!("  {}: {shown}{tail}", c.name);
         }
-        let shown = c.fault_events.iter().take(4).cloned().collect::<Vec<_>>().join("; ");
-        let more = c.fault_events.len().saturating_sub(4);
-        let tail = if more > 0 { format!("; +{more} more") } else { String::new() };
-        println!("  {}: {shown}{tail}", c.name);
-    }
-    println!();
-    if let Some(path) = args.json_path.as_ref().filter(|_| standalone) {
-        write_json_report(path, &report.pretty())?;
-        println!("[chaos report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = chaos::compare(&baseline, &report);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} scenarios identical)",
-                path.display(),
-                baseline.cases.len()
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    } else if !report.all_survived() {
-        eprintln!("chaos matrix: FAIL (a scenario did not survive)");
-        return Err(CliError::GateFailed);
-    }
-    Ok(())
+        println!();
+        Ok(chaos::matrix(args.seed, &cases))
+    })
 }
 
 /// Options per journalled replay run: small enough to re-execute in a
@@ -1027,113 +1039,63 @@ fn cmd_loadgen(args: &Args) -> CliResult {
 }
 
 fn cmd_server_chaos(args: &Args) -> CliResult {
-    let baseline = match args.check_baseline.as_ref() {
-        Some(path) => Some((path, read_baseline(path, server_chaos::ServerChaosReport::parse)?)),
-        None => None,
+    let (spec, title) = if args.isolation {
+        (&server_chaos::ISOLATION_VERDICTS, "Tenant-isolation matrix")
+    } else {
+        (&server_chaos::VERDICTS, "Serving chaos matrix")
     };
-    if args.isolation {
-        println!("== Tenant-isolation matrix (seed {}) ==\n", args.seed);
-    } else {
-        println!("== Serving chaos matrix (seed {}) ==\n", args.seed);
-    }
-    let report = if args.isolation {
-        server_chaos::run_isolation(args.seed)
-    } else {
-        server_chaos::run(args.seed)
-    }
-    .map_err(|e| fatal(format!("server-chaos scenario failed: {e}")))?;
-    let headers = ["Scenario", "Sent", "Priced", "Shed", "Degraded", "Match", "Survived"];
-    let rows: Vec<Vec<String>> = report
-        .cases
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.clone(),
-                c.sent.to_string(),
-                c.priced.to_string(),
-                c.shed.to_string(),
-                if c.degraded { "yes" } else { "no" }.to_string(),
-                if c.spreads_match_clean { "yes" } else { "NO" }.to_string(),
-                if c.survived { "PASS" } else { "FAIL" }.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[server-chaos report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = server_chaos::compare(&baseline, &report);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} scenarios' verdicts identical)",
-                path.display(),
-                baseline.cases.len()
-            );
+    gate(args, spec, || {
+        println!("== {title} (seed {}) ==\n", args.seed);
+        let cases = if args.isolation {
+            server_chaos::run_isolation(args.seed)
         } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
+            server_chaos::run(args.seed)
         }
-    } else if !report.all_survived() {
-        eprintln!("server-chaos matrix: FAIL (a scenario did not survive)");
-        return Err(CliError::GateFailed);
-    }
-    Ok(())
+        .map_err(|e| fatal(format!("server-chaos scenario failed: {e}")))?;
+        let headers = ["Scenario", "Sent", "Priced", "Shed", "Degraded", "Match", "Survived"];
+        let rows: Vec<Vec<String>> = cases
+            .iter()
+            .map(|c| {
+                vec![
+                    c.name.clone(),
+                    c.sent.to_string(),
+                    c.priced.to_string(),
+                    c.shed.to_string(),
+                    yes_no(c.degraded, "no"),
+                    yes_no(c.spreads_match_clean, "NO"),
+                    pass_fail(c.survived),
+                ]
+            })
+            .collect();
+        println!("{}", render_table(&headers, &rows));
+        Ok(server_chaos::matrix(spec, args.seed, &cases))
+    })
 }
 
 fn cmd_storage_chaos(args: &Args) -> CliResult {
-    let baseline = match args.check_baseline.as_ref() {
-        Some(path) => Some((path, read_baseline(path, storage_chaos::StorageChaosReport::parse)?)),
-        None => None,
-    };
-    println!("== Storage-fault crash-consistency matrix (seed {}) ==\n", args.seed);
-    let report = storage_chaos::run(args.seed)
-        .map_err(|e| fatal(format!("storage-chaos scenario failed: {e}")))?;
-    let headers = ["Scenario", "States", "Typed", "Resumed", "ZeroSilent", "Ordering", "Survived"];
-    let rows: Vec<Vec<String>> = report
-        .cases
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.clone(),
-                c.states.to_string(),
-                c.typed.to_string(),
-                c.resumed.to_string(),
-                if c.zero_silent_corruption { "yes" } else { "NO" }.to_string(),
-                if c.ordering_held { "yes" } else { "no" }.to_string(),
-                if c.survived { "PASS" } else { "FAIL" }.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-    if let Some(path) = &args.json_path {
-        write_json_report(path, &report.pretty())?;
-        println!("[storage-chaos report written to {}]", path.display());
-    }
-    if let Some((path, baseline)) = baseline {
-        let problems = storage_chaos::compare(&baseline, &report);
-        if problems.is_empty() {
-            println!(
-                "check against {}: PASS ({} scenarios' verdicts identical)",
-                path.display(),
-                baseline.cases.len()
-            );
-        } else {
-            eprintln!("check against {}: FAIL", path.display());
-            for p in &problems {
-                eprintln!("  regression: {p}");
-            }
-            return Err(CliError::GateFailed);
-        }
-    } else if !report.all_survived() {
-        eprintln!("storage-chaos matrix: FAIL (a scenario did not survive)");
-        return Err(CliError::GateFailed);
-    }
-    Ok(())
+    gate(args, &storage_chaos::VERDICTS, || {
+        println!("== Storage-fault crash-consistency matrix (seed {}) ==\n", args.seed);
+        let cases = storage_chaos::run(args.seed)
+            .map_err(|e| fatal(format!("storage-chaos scenario failed: {e}")))?;
+        let headers =
+            ["Scenario", "States", "Typed", "Resumed", "ZeroSilent", "Ordering", "Survived"];
+        let rows: Vec<Vec<String>> = cases
+            .iter()
+            .map(|c| {
+                vec![
+                    c.name.clone(),
+                    c.states.to_string(),
+                    c.typed.to_string(),
+                    c.resumed.to_string(),
+                    yes_no(c.zero_silent_corruption, "NO"),
+                    yes_no(c.ordering_held, "no"),
+                    pass_fail(c.survived),
+                ]
+            })
+            .collect();
+        println!("{}", render_table(&headers, &rows));
+        Ok(storage_chaos::matrix(args.seed, &cases))
+    })
 }
 
 fn run(args: &Args) -> CliResult {
@@ -1173,7 +1135,7 @@ fn run(args: &Args) -> CliResult {
         "ablation-restart" => cmd_restart(&workload, &args.csv_dir),
         "host-cpu" => cmd_hostcpu(&workload, &args.csv_dir),
         "bench" => cmd_bench(args),
-        "chaos" => cmd_chaos(args, true),
+        "chaos" => cmd_chaos(args),
         "loadgen" => cmd_loadgen(args),
         "server-chaos" => cmd_server_chaos(args),
         "storage-chaos" => cmd_storage_chaos(args),
@@ -1209,7 +1171,7 @@ fn run(args: &Args) -> CliResult {
             cmd_bench(args)?;
             // `--check`/`--json` under `all` name the *bench* artefacts;
             // the chaos gate has its own baseline and runs survival-only.
-            cmd_chaos(args, false)
+            cmd_chaos(&Args { json_path: None, check_baseline: None, ..args.clone() })
         }
         other => usage(&format!("unknown command {other}")),
     }

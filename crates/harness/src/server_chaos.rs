@@ -36,20 +36,33 @@
 
 use crate::json::Json;
 use crate::loadgen::{compliant_trip, flood_as_tenant, quantile, slowloris_probe, LineClient};
+use crate::verdict::{Case, MatrixSpec, VerdictMatrix};
 use cds_cpu::engine::CpuCdsEngine;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::fuzz::{fuzz_lines, torn_lines};
 use cds_server::ladder::LadderConfig;
-use cds_server::proto::{f64_to_wire, parse_response, Response};
-use cds_server::server::{resume_journal, serve, ServerConfig, ServerHandle};
+use cds_server::proto::{f64_to_wire, Response};
+use cds_server::server::{resume_journal, serve, ServerConfig};
 use cds_server::tenant::TenantLimits;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Version of the server-chaos JSON schema.
-pub const SCHEMA_VERSION: u64 = 1;
+/// The serving chaos gate: boolean verdicts only.
+pub static VERDICTS: MatrixSpec = MatrixSpec {
+    gate: "server-chaos",
+    schema_version: 1,
+    fields: &["degraded", "shed_occurred", "spreads_match_clean", "survived"],
+    baseline: "results/server_chaos_baseline.json",
+};
+
+/// The tenant-isolation gate: the same verdicts, its own baseline.
+pub static ISOLATION_VERDICTS: MatrixSpec = MatrixSpec {
+    gate: "tenant-isolation",
+    baseline: "results/tenant_isolation_baseline.json",
+    ..VERDICTS
+};
 
 /// Outcome of one serving chaos scenario. Only the boolean verdicts are
 /// baseline-gated; the counts are informational (wall clock varies).
@@ -74,175 +87,17 @@ pub struct ServerChaosCase {
 }
 
 impl ServerChaosCase {
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("degraded", Json::Bool(self.degraded)),
-            ("shed_occurred", Json::Bool(self.shed_occurred)),
-            ("spreads_match_clean", Json::Bool(self.spreads_match_clean)),
-            ("survived", Json::Bool(self.survived)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let flag = |key: &str| -> Result<bool, String> {
-            match value.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                _ => Err(format!("server-chaos case missing boolean field '{key}'")),
-            }
-        };
-        Ok(ServerChaosCase {
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("server-chaos case missing 'name'")?
-                .to_string(),
-            degraded: flag("degraded")?,
-            shed_occurred: flag("shed_occurred")?,
-            spreads_match_clean: flag("spreads_match_clean")?,
-            survived: flag("survived")?,
-            sent: 0,
-            priced: 0,
-            shed: 0,
-        })
-    }
-
-    /// The gated projection: everything except the volatile counts.
-    fn verdicts(&self) -> (bool, bool, bool, bool) {
-        (self.degraded, self.shed_occurred, self.spreads_match_clean, self.survived)
+    /// The gated row, in [`VERDICTS`] field order.
+    fn row(&self) -> Case {
+        let flags = [self.degraded, self.shed_occurred, self.spreads_match_clean, self.survived];
+        Case { name: self.name.clone(), values: flags.map(Json::Bool).to_vec() }
     }
 }
 
-/// A full serving chaos run.
-#[derive(Debug, Clone)]
-pub struct ServerChaosReport {
-    /// Schema version of the serialised form ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Seed the workloads derive from.
-    pub seed: u64,
-    /// All scenarios, in matrix order.
-    pub cases: Vec<ServerChaosCase>,
-}
-
-impl ServerChaosReport {
-    /// Look a scenario up by its stable name.
-    pub fn find(&self, name: &str) -> Option<&ServerChaosCase> {
-        self.cases.iter().find(|c| c.name == name)
-    }
-
-    /// True when every scenario survived.
-    pub fn all_survived(&self) -> bool {
-        self.cases.iter().all(|c| c.survived)
-    }
-
-    /// Serialise to the versioned JSON schema (booleans only).
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("schema_version", Json::Number(self.schema_version as f64)),
-            ("seed", Json::Number(self.seed as f64)),
-            ("cases", Json::Array(self.cases.iter().map(ServerChaosCase::to_json).collect())),
-        ])
-    }
-
-    /// Pretty-printed JSON document.
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let value = crate::json::parse(text)?;
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("server-chaos report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "server-chaos schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let cases = value
-            .get("cases")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "server-chaos report missing 'cases' array".to_string())?
-            .iter()
-            .map(ServerChaosCase::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServerChaosReport { schema_version, seed: num("seed")? as u64, cases })
-    }
-}
-
-/// Gate `current` against `baseline`: every baseline scenario must be
-/// present with identical boolean verdicts, and no scenario may appear
-/// or vanish silently. Counts are *not* compared (wall clock varies).
-pub fn compare(baseline: &ServerChaosReport, current: &ServerChaosReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    for base in &baseline.cases {
-        match current.find(&base.name) {
-            None => problems.push(format!("scenario '{}' missing from current run", base.name)),
-            Some(cur) if cur.verdicts() != base.verdicts() => {
-                problems.push(format!(
-                    "scenario '{}' changed: baseline (degraded={}, shed={}, match={}, survived={}) vs current (degraded={}, shed={}, match={}, survived={})",
-                    base.name,
-                    base.degraded,
-                    base.shed_occurred,
-                    base.spreads_match_clean,
-                    base.survived,
-                    cur.degraded,
-                    cur.shed_occurred,
-                    cur.spreads_match_clean,
-                    cur.survived,
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for cur in &current.cases {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "scenario '{}' not in baseline — regenerate results/server_chaos_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    problems
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(handle: &ServerHandle) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(handle.addr())?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer })
-    }
-
-    fn roundtrip(&mut self, line: &str) -> Result<Response, String> {
-        writeln!(self.writer, "{line}").map_err(|e| e.to_string())?;
-        self.recv()
-    }
-
-    fn recv(&mut self) -> Result<Response, String> {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).map_err(|e| e.to_string())?;
-        if reply.is_empty() {
-            return Err("connection closed".to_string());
-        }
-        parse_response(reply.trim()).map_err(|e| format!("bad reply `{reply}`: {e}"))
-    }
+/// The gated matrix of a run of either serving matrix (`spec` is
+/// [`VERDICTS`] or [`ISOLATION_VERDICTS`]).
+pub fn matrix(spec: &'static MatrixSpec, seed: u64, cases: &[ServerChaosCase]) -> VerdictMatrix {
+    VerdictMatrix { spec, seed, cases: cases.iter().map(ServerChaosCase::row).collect() }
 }
 
 fn reference_bits(seed: u64, maturity: f64, recovery: f64) -> u64 {
@@ -263,7 +118,7 @@ fn quote_line(id: u64, maturity: f64, recovery: f64, low_priority: bool) -> Stri
 fn scenario_engine_death(seed: u64) -> Result<ServerChaosCase, String> {
     let handle =
         serve(ServerConfig { shards: 2, seed, ..Default::default() }).map_err(|e| e.to_string())?;
-    let mut client = Client::connect(&handle).map_err(|e| e.to_string())?;
+    let mut client = LineClient::connect(handle.addr())?;
     let total = 24u64;
     let mut priced = 0u64;
     let mut matched = true;
@@ -315,7 +170,7 @@ fn scenario_kill_during_drain(seed: u64) -> Result<ServerChaosCase, String> {
         ..Default::default()
     })
     .map_err(|e| e.to_string())?;
-    let mut client = Client::connect(&handle).map_err(|e| e.to_string())?;
+    let mut client = LineClient::connect(handle.addr())?;
     client.roundtrip("FAULT STALL 0 300")?;
     // Pipeline a small burst (under the admission bound) and wait for
     // the WAL to accept it; the 300ms stall keeps it pending.
@@ -372,7 +227,7 @@ fn scenario_slow_consumer(seed: u64) -> Result<ServerChaosCase, String> {
         ..Default::default()
     })
     .map_err(|e| e.to_string())?;
-    let mut client = Client::connect(&handle).map_err(|e| e.to_string())?;
+    let mut client = LineClient::connect(handle.addr())?;
     client.roundtrip("FAULT STALL 0 20")?;
     let total = 64u64;
     for id in 0..total {
@@ -424,7 +279,7 @@ fn scenario_overload_shed(seed: u64) -> Result<ServerChaosCase, String> {
     let capacity = 4u64;
     let handle = serve(ServerConfig { shards: 1, seed, capacity, ..Default::default() })
         .map_err(|e| e.to_string())?;
-    let mut client = Client::connect(&handle).map_err(|e| e.to_string())?;
+    let mut client = LineClient::connect(handle.addr())?;
     // 30ms of service per quote caps the deployment at ~33 quotes/s;
     // offering one every 15ms is a sustained 2x overload.
     client.roundtrip("FAULT STALL 0 30")?;
@@ -469,14 +324,13 @@ fn scenario_overload_shed(seed: u64) -> Result<ServerChaosCase, String> {
 }
 
 /// Execute the serving chaos matrix against in-process servers.
-pub fn run(seed: u64) -> Result<ServerChaosReport, String> {
-    let cases = vec![
+pub fn run(seed: u64) -> Result<Vec<ServerChaosCase>, String> {
+    Ok(vec![
         scenario_engine_death(seed)?,
         scenario_kill_during_drain(seed)?,
         scenario_slow_consumer(seed)?,
         scenario_overload_shed(seed)?,
-    ];
-    Ok(ServerChaosReport { schema_version: SCHEMA_VERSION, seed, cases })
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -674,71 +528,12 @@ fn scenario_protocol_fuzz(seed: u64) -> Result<ServerChaosCase, String> {
 
 /// Execute the tenant-isolation matrix against in-process servers. The
 /// committed baseline lives in `results/tenant_isolation_baseline.json`
-/// and is gated with the same verdict-only [`compare`] as the chaos
-/// matrix.
-pub fn run_isolation(seed: u64) -> Result<ServerChaosReport, String> {
-    let cases = vec![
+/// and is gated on the same verdicts as the chaos matrix
+/// ([`ISOLATION_VERDICTS`]).
+pub fn run_isolation(seed: u64) -> Result<Vec<ServerChaosCase>, String> {
+    Ok(vec![
         scenario_noisy_neighbor(seed)?,
         scenario_slowloris_reaper(seed)?,
         scenario_protocol_fuzz(seed)?,
-    ];
-    Ok(ServerChaosReport { schema_version: SCHEMA_VERSION, seed, cases })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn case(name: &str, survived: bool) -> ServerChaosCase {
-        ServerChaosCase {
-            name: name.to_string(),
-            degraded: false,
-            shed_occurred: true,
-            spreads_match_clean: true,
-            survived,
-            sent: 10,
-            priced: 5,
-            shed: 5,
-        }
-    }
-
-    #[test]
-    fn report_round_trips_and_gates_on_verdicts_only() {
-        let report = ServerChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("server/a", true), case("server/b", true)],
-        };
-        let parsed = ServerChaosReport::parse(&report.pretty()).expect("parse");
-        // Counts are not serialised; verdict comparison still passes.
-        assert!(compare(&parsed, &report).is_empty());
-        let mut flipped = report.clone();
-        flipped.cases[1].survived = false;
-        let problems = compare(&parsed, &flipped);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("server/b"), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_missing_and_new_scenarios() {
-        let baseline = ServerChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("server/a", true)],
-        };
-        let current = ServerChaosReport {
-            schema_version: SCHEMA_VERSION,
-            seed: 42,
-            cases: vec![case("server/new", true)],
-        };
-        let problems = compare(&baseline, &current);
-        assert_eq!(problems.len(), 2, "{problems:?}");
-    }
-
-    #[test]
-    fn schema_version_is_enforced() {
-        let report = ServerChaosReport { schema_version: SCHEMA_VERSION, seed: 1, cases: vec![] };
-        let bumped = report.pretty().replace("\"schema_version\": 1", "\"schema_version\": 9");
-        assert!(ServerChaosReport::parse(&bumped).expect_err("gate").contains("regenerate"));
-    }
+    ])
 }

@@ -5,33 +5,24 @@
 //! times the CPU engines on the machine it runs on and reports
 //! options/second. [`run`] measures three rows (scalar reference on one
 //! thread, lane kernel on one thread, lane kernel across a pinned thread
-//! count) after a warm-up pass; [`compare`] gates a report against a
+//! count) after a warm-up pass. [`GATE`] gates a report against a
 //! committed baseline (`results/throughput_baseline.json`) with a
 //! generous relative tolerance for runner noise, plus one *relative*
-//! invariant that is immune to machine speed: the lane kernel must stay
+//! floor that is immune to machine speed: the lane kernel must stay
 //! at least [`MIN_LANE_SPEEDUP`]× faster than the scalar reference on a
 //! single thread.
 
 use crate::json::Json;
+use crate::rate_gate::{Better, Floor, Metric, RateGate, RateSpec};
 use crate::workload::Workload;
 use cds_cpu::parallel::price_parallel;
 use cds_cpu::CpuCdsEngine;
 use std::time::{Duration, Instant};
 
-/// Version of the throughput JSON schema. Bump on any incompatible
-/// change so `--check` refuses stale baselines loudly (exit 2, not a
-/// silent pass).
-pub const SCHEMA_VERSION: u64 = 1;
-
 /// Default option-batch size of a throughput run: large enough that one
 /// pass amortises kernel setup, small enough that a pass is well under a
 /// second even for the scalar row.
 pub const DEFAULT_THROUGHPUT_BATCH: usize = 8192;
-
-/// Default relative gate width — deliberately generous, since CI runners
-/// share hardware and wall-clock numbers jitter far more than the
-/// deterministic ladder's.
-pub const DEFAULT_THROUGHPUT_TOLERANCE: f64 = 0.40;
 
 /// Default pinned thread count of the multi-threaded row — kept at two
 /// so the row measures the same parallelism on a laptop, a CI runner and
@@ -46,131 +37,44 @@ pub const MIN_LANE_SPEEDUP: f64 = 4.0;
 
 /// Minimum timed window per row; iteration continues until both this
 /// and [`MIN_SAMPLE_ITERS`] are reached.
-const DEFAULT_MIN_SAMPLE: Duration = Duration::from_millis(300);
+pub(crate) const DEFAULT_MIN_SAMPLE: Duration = Duration::from_millis(300);
 
 /// Minimum timed passes per row.
 const MIN_SAMPLE_ITERS: u32 = 3;
 
-/// One measured kernel configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputRow {
-    /// Stable row name (`cpu/scalar-1t`, `cpu/lanes-1t`, `cpu/lanes-mt`).
-    pub name: String,
-    /// Measured wall-clock options per second.
-    pub options_per_second: f64,
-}
+/// The throughput gate. Rows `cpu/scalar-1t`, `cpu/lanes-1t` and
+/// `cpu/lanes-mt` carry measured `options_per_second`; the pinned thread
+/// count of the multi-threaded row must match the baseline's so floors
+/// stay comparable, and `lane_speedup_1t` (`cpu/lanes-1t` over
+/// `cpu/scalar-1t`) must clear the baseline's `min_lane_speedup`.
+pub static GATE: RateSpec = RateSpec {
+    gate: "throughput",
+    schema_version: 1,
+    rows: "rows",
+    metrics: &[Metric {
+        key: "options_per_second",
+        what: "throughput",
+        unit: "options/s",
+        better: Better::Higher,
+    }],
+    context: &[("pinned_threads", "pinned thread count")],
+    floors: &[Floor {
+        value: "lane_speedup_1t",
+        floor: "min_lane_speedup",
+        what: "lane kernel speedup",
+    }],
+    invariants: &[],
+    // Deliberately generous: CI runners share hardware and wall-clock
+    // numbers jitter far more than the deterministic ladder's.
+    tolerance: 0.40,
+    baseline: "results/throughput_baseline.json",
+};
 
-/// One wall-clock throughput run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputReport {
-    /// Schema version of the serialised form ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// RNG seed the workload was generated from.
-    pub seed: u64,
-    /// Options per timed pass.
-    pub batch: usize,
-    /// Thread count of the `cpu/lanes-mt` row; the gate requires the
-    /// baseline and current run to agree, so floors stay comparable.
-    pub pinned_threads: usize,
-    /// Single-thread lane-kernel speedup over the scalar reference
-    /// (`cpu/lanes-1t` / `cpu/scalar-1t`).
-    pub lane_speedup_1t: f64,
-    /// The speedup floor this report was gated against
-    /// ([`MIN_LANE_SPEEDUP`]).
-    pub min_lane_speedup: f64,
-    /// All measured rows, in a stable order.
-    pub rows: Vec<ThroughputRow>,
-}
-
-impl ThroughputReport {
-    /// Look a row up by its stable name.
-    pub fn find(&self, name: &str) -> Option<&ThroughputRow> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// Serialise to the versioned JSON schema.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("schema_version", Json::Number(self.schema_version as f64)),
-            ("seed", Json::Number(self.seed as f64)),
-            ("batch", Json::Number(self.batch as f64)),
-            ("pinned_threads", Json::Number(self.pinned_threads as f64)),
-            ("lane_speedup_1t", Json::Number(self.lane_speedup_1t)),
-            ("min_lane_speedup", Json::Number(self.min_lane_speedup)),
-            (
-                "rows",
-                Json::Array(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::object(vec![
-                                ("name", Json::Str(r.name.clone())),
-                                ("options_per_second", Json::Number(r.options_per_second)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Pretty-printed JSON document (stable: object keys are sorted).
-    pub fn pretty(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parse a serialised report, validating the schema version.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("throughput report missing numeric field '{key}'"))
-        };
-        let schema_version = num("schema_version")? as u64;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "throughput schema version {schema_version} != supported {SCHEMA_VERSION} — regenerate the baseline"
-            ));
-        }
-        let rows = value
-            .get("rows")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "throughput report missing 'rows' array".to_string())?
-            .iter()
-            .map(|row| {
-                let name = row
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "throughput row missing 'name'".to_string())?;
-                let ops = row
-                    .get("options_per_second")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| "throughput row missing 'options_per_second'".to_string())?;
-                Ok(ThroughputRow { name: name.to_string(), options_per_second: ops })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ThroughputReport {
-            schema_version,
-            seed: num("seed")? as u64,
-            batch: num("batch")? as usize,
-            pinned_threads: num("pinned_threads")? as usize,
-            lane_speedup_1t: num("lane_speedup_1t")?,
-            min_lane_speedup: num("min_lane_speedup")?,
-            rows,
-        })
-    }
-
-    /// Parse from JSON text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&crate::json::parse(text)?)
-    }
-}
-
-/// Time repeated passes of `pass` (which returns options priced per
-/// pass) after one untimed warm-up, until at least `min_sample` has
-/// elapsed *and* [`MIN_SAMPLE_ITERS`] passes ran. Returns options/s.
-fn measure(mut pass: impl FnMut() -> usize, min_sample: Duration) -> f64 {
+/// Time repeated passes of `pass` (which returns the units — options
+/// priced, ticks applied — it processed) after one untimed warm-up,
+/// until at least `min_sample` has elapsed *and* [`MIN_SAMPLE_ITERS`]
+/// passes ran. Returns units per second.
+pub(crate) fn measure(mut pass: impl FnMut() -> usize, min_sample: Duration) -> f64 {
     // Warm-up: populates lane-kernel grids, faults pages, spins up the
     // frequency governor — everything the steady state should not pay.
     pass();
@@ -188,13 +92,13 @@ fn measure(mut pass: impl FnMut() -> usize, min_sample: Duration) -> f64 {
 }
 
 /// Measure the three throughput rows with the default sample window.
-pub fn run(seed: u64, batch: usize, threads: usize) -> ThroughputReport {
+pub fn run(seed: u64, batch: usize, threads: usize) -> RateGate {
     run_with(seed, batch, threads, DEFAULT_MIN_SAMPLE)
 }
 
 /// As [`run`], with an explicit minimum sample window (tests use a tiny
 /// window; CI uses the default).
-pub fn run_with(seed: u64, batch: usize, threads: usize, min_sample: Duration) -> ThroughputReport {
+pub fn run_with(seed: u64, batch: usize, threads: usize, min_sample: Duration) -> RateGate {
     assert!(threads >= 1, "need at least one thread");
     // A realistic mixed book (1–10y maturities, all four frequencies),
     // so all lane-kernel grids are exercised rather than one shared
@@ -218,162 +122,42 @@ pub fn run_with(seed: u64, batch: usize, threads: usize, min_sample: Duration) -
 
     let lanes_mt = measure(|| price_parallel(&engine, &w.options, threads).len(), min_sample);
 
-    ThroughputReport {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        batch,
-        pinned_threads: threads,
-        lane_speedup_1t: lanes_1t / scalar_1t,
-        min_lane_speedup: MIN_LANE_SPEEDUP,
-        rows: vec![
-            ThroughputRow { name: "cpu/scalar-1t".to_string(), options_per_second: scalar_1t },
-            ThroughputRow { name: "cpu/lanes-1t".to_string(), options_per_second: lanes_1t },
-            ThroughputRow { name: "cpu/lanes-mt".to_string(), options_per_second: lanes_mt },
+    let n = |x: f64| Json::Number(x);
+    let row = |name: &str, ops: f64| {
+        Json::object(vec![("name", Json::Str(name.to_string())), ("options_per_second", n(ops))])
+    };
+    RateGate::report(
+        &GATE,
+        vec![
+            ("seed", n(seed as f64)),
+            ("batch", n(batch as f64)),
+            ("pinned_threads", n(threads as f64)),
+            ("lane_speedup_1t", n(lanes_1t / scalar_1t)),
+            ("min_lane_speedup", n(MIN_LANE_SPEEDUP)),
         ],
-    }
-}
-
-/// Gate `current` against `baseline`: one message per problem (empty =
-/// pass). Throughput may not drop below `baseline·(1−tolerance)`, the
-/// row set and pinned thread count may not drift, and the current run's
-/// lane speedup must clear the baseline's recorded floor (no tolerance —
-/// the ratio cancels machine speed).
-pub fn compare(
-    baseline: &ThroughputReport,
-    current: &ThroughputReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut problems = Vec::new();
-    if baseline.schema_version != current.schema_version {
-        problems.push(format!(
-            "schema version mismatch: baseline {} vs current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    if baseline.pinned_threads != current.pinned_threads {
-        problems.push(format!(
-            "pinned thread count changed: baseline {} vs current {} — floors are not comparable",
-            baseline.pinned_threads, current.pinned_threads
-        ));
-    }
-    for base in &baseline.rows {
-        let Some(cur) = current.find(&base.name) else {
-            problems.push(format!("row '{}' missing from current run", base.name));
-            continue;
-        };
-        if base.options_per_second > 0.0
-            && cur.options_per_second < base.options_per_second * (1.0 - tolerance)
-        {
-            problems.push(format!(
-                "{}: throughput regressed {:.0} -> {:.0} options/s (tolerance {:.0}%)",
-                base.name,
-                base.options_per_second,
-                cur.options_per_second,
-                tolerance * 100.0
-            ));
-        }
-    }
-    for cur in &current.rows {
-        if baseline.find(&cur.name).is_none() {
-            problems.push(format!(
-                "row '{}' not in baseline — regenerate results/throughput_baseline.json",
-                cur.name
-            ));
-        }
-    }
-    if current.lane_speedup_1t < baseline.min_lane_speedup {
-        problems.push(format!(
-            "lane kernel speedup {:.2}x fell below the required {:.2}x floor",
-            current.lane_speedup_1t, baseline.min_lane_speedup
-        ));
-    }
-    problems
+        vec![
+            row("cpu/scalar-1t", scalar_1t),
+            row("cpu/lanes-1t", lanes_1t),
+            row("cpu/lanes-mt", lanes_mt),
+        ],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick_run() -> ThroughputReport {
-        // A tiny batch and window: this is a plumbing test, not a
-        // benchmark — rates are real but noisy.
-        run_with(11, 64, 2, Duration::from_millis(1))
-    }
-
     #[test]
     fn rows_and_speedup_are_populated() {
-        let r = quick_run();
+        // A tiny batch and window: this is a plumbing test, not a
+        // benchmark — rates are real but noisy.
+        let r = run_with(11, 64, 2, Duration::from_millis(1));
         for name in ["cpu/scalar-1t", "cpu/lanes-1t", "cpu/lanes-mt"] {
-            let row = r.find(name).unwrap_or_else(|| panic!("missing row {name}"));
-            assert!(row.options_per_second > 0.0, "{name} has zero throughput");
+            let ops = r.rate(name, "options_per_second").unwrap_or(0.0);
+            assert!(ops > 0.0, "{name} has zero throughput");
         }
-        assert!(r.lane_speedup_1t > 0.0);
-        assert_eq!(r.min_lane_speedup, MIN_LANE_SPEEDUP);
-        assert_eq!(r.pinned_threads, 2);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = quick_run();
-        let back = match ThroughputReport::parse(&r.pretty()) {
-            Ok(b) => b,
-            Err(e) => panic!("parse own output: {e}"),
-        };
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn wrong_schema_version_is_rejected() {
-        let mut r = quick_run();
-        r.schema_version = SCHEMA_VERSION + 1;
-        let err = match ThroughputReport::parse(&r.pretty()) {
-            Ok(_) => panic!("stale schema must be rejected"),
-            Err(e) => e,
-        };
-        assert!(err.contains("schema version"), "{err}");
-    }
-
-    #[test]
-    fn compare_passes_identical_runs_when_speedup_clears_floor() {
-        let mut r = quick_run();
-        r.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0; // decouple from noise
-        assert_eq!(compare(&r, &r, DEFAULT_THROUGHPUT_TOLERANCE), Vec::<String>::new());
-    }
-
-    #[test]
-    fn compare_flags_regression_drift_and_speedup_floor() {
-        let mut base = quick_run();
-        base.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0;
-        let mut bad = base.clone();
-        bad.rows[1].options_per_second = base.rows[1].options_per_second * 0.5;
-        bad.rows.push(ThroughputRow { name: "cpu/new".to_string(), options_per_second: 1.0 });
-        bad.pinned_threads += 1;
-        bad.lane_speedup_1t = MIN_LANE_SPEEDUP - 1.0;
-        let problems = compare(&base, &bad, DEFAULT_THROUGHPUT_TOLERANCE);
-        assert!(problems.iter().any(|p| p.contains("throughput regressed")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("not in baseline")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("pinned thread count")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("fell below")), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_flags_missing_row() {
-        let mut base = quick_run();
-        base.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0;
-        let mut cur = base.clone();
-        cur.rows.remove(0);
-        let problems = compare(&base, &cur, DEFAULT_THROUGHPUT_TOLERANCE);
-        assert!(problems.iter().any(|p| p.contains("missing from current")), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_tolerates_runner_noise() {
-        let mut base = quick_run();
-        base.lane_speedup_1t = MIN_LANE_SPEEDUP + 1.0;
-        let mut wiggle = base.clone();
-        for row in &mut wiggle.rows {
-            row.options_per_second *= 1.0 - DEFAULT_THROUGHPUT_TOLERANCE + 0.05;
-        }
-        assert_eq!(compare(&base, &wiggle, DEFAULT_THROUGHPUT_TOLERANCE), Vec::<String>::new());
+        assert!(r.num("lane_speedup_1t") > 0.0);
+        assert_eq!(r.num("min_lane_speedup"), MIN_LANE_SPEEDUP);
+        assert_eq!(r.num("pinned_threads"), 2.0);
     }
 }
