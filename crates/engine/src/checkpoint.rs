@@ -254,8 +254,27 @@ impl Checkpoint {
         Ok(checkpoint)
     }
 
+    /// The resume preamble shared by both deployments: validate this
+    /// checkpoint, check it covers a workload of `total` options, and
+    /// return the admitted options it has not seen complete (in
+    /// admission order) — the only work a resume re-runs.
+    pub fn remaining(&self, total: usize) -> Result<Vec<u32>, CdsError> {
+        self.validate()?;
+        if self.total_options as usize != total {
+            return Err(CdsError::Journal {
+                reason: format!(
+                    "checkpoint covers {} options but the workload has {total}",
+                    self.total_options
+                ),
+            });
+        }
+        let done: std::collections::BTreeSet<u32> =
+            self.completed.iter().map(|c| c.index).collect();
+        Ok(self.admitted.iter().copied().filter(|i| !done.contains(i)).collect())
+    }
+
     /// Internal-consistency checks shared by [`Checkpoint::parse`] and
-    /// the resume entry points.
+    /// [`Checkpoint::remaining`].
     pub fn validate(&self) -> Result<(), CdsError> {
         let journal = |reason: String| CdsError::Journal { reason };
         if let Some(s) = &self.scenario {

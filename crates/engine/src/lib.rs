@@ -102,7 +102,7 @@ pub mod prelude {
         enumerate_crash_states, sync_ordering_held, CrashPlan, CrashState, FaultyJournalIo,
         JournalIo, JournalOp, OsJournalIo, RecordingJournalIo, StorageFaultPlan,
     };
-    pub use crate::multi::MultiEngine;
+    pub use crate::multi::{BatchPolicy, MultiEngine};
     pub use crate::portfolio::{
         hazard_window, interest_window, option_reads_hazard, option_reads_interest, PortfolioState,
         ReadWindow,

@@ -10,17 +10,25 @@
 
 use crate::checkpoint::{checkpoint_stream, Checkpoint, CompletedOption};
 use crate::config::{EngineConfig, EnginePrecision, EngineVariant};
+use crate::error::CdsError;
 use crate::report::EngineRunReport;
-use crate::retry::RetryPolicy;
-use crate::scrub::{scrub_spreads, ScrubPolicy, ScrubReport};
+use crate::scrub::{corrupted_options, scrub_spreads, ScrubPolicy, ScrubReport};
+use crate::tokens::{tag_fault_plan, SpreadTok};
+use crate::variants::dataflow::build_graph_into;
 use crate::FpgaCdsEngine;
 use cds_quant::option::{CdsOption, MarketData};
-use dataflow_sim::fault::{FaultKind, FaultPlan};
+use dataflow_sim::event_sim::EventSim;
+use dataflow_sim::fault::FaultPlan;
+use dataflow_sim::graph::{GraphBuilder, SimReport};
+use dataflow_sim::region::RegionMode;
 use dataflow_sim::resource::{op_cost, uram_for_curve, Device, ResourceUsage};
 use dataflow_sim::trace::Counters;
+use dataflow_sim::Cycle;
+use std::rc::Rc;
 
-/// Checkpoint cadence plus the sink receiving each emitted checkpoint.
-type JournalSink<'a> = (u32, &'a mut dyn FnMut(&Checkpoint));
+/// Checkpoint cadence plus the sink receiving each emitted checkpoint
+/// (the write-ahead journal of [`MultiEngine::price_batch_resilient`]).
+pub type JournalSink<'a> = (u32, &'a mut dyn FnMut(&Checkpoint));
 
 /// Per-extra-engine slowdown from shared memory interconnect and host
 /// sequencing — the linear coefficient of the contention model.
@@ -129,7 +137,7 @@ pub struct MultiEngine {
 }
 
 /// Report of a multi-engine run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MultiEngineReport {
     /// Spreads in original option order.
     pub spreads: Vec<f64>,
@@ -157,6 +165,38 @@ pub struct MultiEngineReport {
     pub degraded: bool,
     /// Scrubber outcome when a [`ScrubPolicy`] was supplied.
     pub scrub: Option<ScrubReport>,
+}
+
+/// Robustness policy of a single-simulation batch run — the batch
+/// counterpart of [`crate::streaming::StreamingPolicy`]. The default (no
+/// fault plan, no re-shard rounds, no scrub) is the plain concurrent
+/// deployment.
+#[derive(Debug, Clone, Default)]
+pub struct BatchPolicy {
+    /// Seeded fault plan installed on the first round. Engine `k`'s
+    /// processes are name-prefixed `e{k}.`, so a plan built with
+    /// [`FaultPlan::kill_region`]`("e2.", cycle)` kills exactly that
+    /// engine mid-run.
+    pub fault_plan: Option<FaultPlan>,
+    /// Fault-free re-shard rounds allowed after the first; the batch
+    /// failover budgets live in [`crate::retry::RetryPolicy`]
+    /// (`batch_failover().max_attempts`).
+    pub max_attempts: usize,
+    /// Result-integrity scrubbing of the priced spreads; `None` reports
+    /// engine outputs verbatim.
+    pub scrub: Option<ScrubPolicy>,
+}
+
+/// One single-simulation round of [`MultiEngine::price_batch_resilient`].
+struct Round {
+    /// The simulator's report of the round.
+    sim: SimReport,
+    /// Kernel cycles charged: the makespan plus region invocation.
+    kernel_cycles: Cycle,
+    /// Engines that delivered fewer spreads than their chunk.
+    failed_engines: usize,
+    /// Every delivered spread with its completion cycle, engine by engine.
+    delivered: Vec<(SpreadTok, Cycle)>,
 }
 
 impl MultiEngine {
@@ -224,19 +264,7 @@ impl MultiEngine {
     pub fn price_batch(&self, options: &[CdsOption]) -> MultiEngineReport {
         let n = self.n_engines;
         if options.is_empty() {
-            return MultiEngineReport {
-                spreads: Vec::new(),
-                engines: n,
-                total_seconds: 0.0,
-                options_per_second: 0.0,
-                slowest_engine_seconds: 0.0,
-                counters: Counters::default(),
-                faults_injected: 0,
-                options_retried: 0,
-                options_shed: 0,
-                degraded: false,
-                scrub: None,
-            };
+            return MultiEngineReport { engines: n, ..MultiEngineReport::default() };
         }
         let chunk_size = options.len().div_ceil(n);
         let mut spreads = Vec::with_capacity(options.len());
@@ -261,92 +289,7 @@ impl MultiEngine {
             slowest_engine_seconds: slowest,
             spreads,
             counters,
-            faults_injected: 0,
-            options_retried: 0,
-            options_shed: 0,
-            degraded: false,
-            scrub: None,
-        }
-    }
-}
-
-impl MultiEngine {
-    /// Price a batch with all `N` engines instantiated in a **single
-    /// discrete-event simulation**: every engine's stages and streams are
-    /// built into one graph (name-prefixed per engine) and run
-    /// concurrently, so the makespan — the slowest engine — emerges from
-    /// the simulation itself rather than from taking a max over separate
-    /// runs. The calibrated interconnect contention and the shared PCIe
-    /// transfer are applied to the simulated kernel time as usual.
-    pub fn price_batch_simulated(&self, options: &[CdsOption]) -> MultiEngineReport {
-        use crate::variants::dataflow::build_graph_into;
-        use dataflow_sim::event_sim::EventSim;
-        use dataflow_sim::graph::GraphBuilder;
-        use std::rc::Rc;
-
-        let n = self.n_engines;
-        if options.is_empty() {
-            return self.price_batch(options);
-        }
-        assert_eq!(
-            self.config.region_mode,
-            dataflow_sim::region::RegionMode::Continuous,
-            "single-simulation deployment requires continuous engines"
-        );
-        let market = Rc::new(self.market.clone());
-        let chunk_size = options.len().div_ceil(n);
-        let mut g = GraphBuilder::new();
-        let mut sinks = Vec::with_capacity(n);
-        let mut base_idx = 0u32;
-        for (k, chunk) in options.chunks(chunk_size).enumerate() {
-            let sink = build_graph_into(
-                &mut g,
-                &format!("e{k}."),
-                market.clone(),
-                &self.config,
-                chunk,
-                base_idx,
-                None,
-            );
-            sinks.push((sink, chunk.len()));
-            base_idx += chunk.len() as u32;
-        }
-        let processes = g.process_count();
-        let mut sim = EventSim::new(g);
-        let report = match sim.run() {
-            Ok(r) => r,
-            Err(e) => panic!("multi-engine CDS graph must not deadlock: {e}"),
-        };
-        let kernel =
-            report.total_cycles + self.config.region_cost.invocation_overhead(processes / n.max(1));
-        let curve_load = self
-            .config
-            .memory
-            .curve_load_cycles(self.market.hazard.len().max(self.market.interest.len()));
-
-        let mut spreads = Vec::with_capacity(options.len());
-        for (sink, expected) in sinks {
-            let collected = sink.values();
-            assert_eq!(collected.len(), expected);
-            spreads.extend(collected.into_iter().map(|tok| tok.spread_bps));
-        }
-        let contention = contention_factor(n);
-        let kernel_seconds = self.config.clock.seconds(kernel + curve_load);
-        let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
-        let total_seconds = kernel_seconds * contention + transfer;
-        let trace = self.config.trace.clone().unwrap_or_default();
-        MultiEngineReport {
-            engines: n,
-            total_seconds,
-            options_per_second: options.len() as f64 / total_seconds,
-            slowest_engine_seconds: kernel_seconds,
-            spreads,
-            counters: Counters::from_run(&trace, &report),
-            faults_injected: 0,
-            options_retried: 0,
-            options_shed: 0,
-            degraded: false,
-            scrub: None,
+            ..MultiEngineReport::default()
         }
     }
 
@@ -387,210 +330,52 @@ impl MultiEngine {
             slowest_engine_seconds: slowest,
             spreads,
             counters,
-            faults_injected: 0,
-            options_retried: 0,
-            options_shed: 0,
-            degraded: false,
-            scrub: None,
+            ..MultiEngineReport::default()
         }
     }
 
-    /// Price a batch fault-tolerantly: one single-simulation round with an
-    /// optional [`FaultPlan`] injected, followed by bounded recovery.
+    /// Price a batch with all `N` engines instantiated in a **single
+    /// discrete-event simulation** under a robustness [`BatchPolicy`].
     ///
-    /// Engine `k`'s processes are name-prefixed `e{k}.`, so a plan built
-    /// with [`FaultPlan::kill_region`]`("e2.", cycle)` kills exactly that
-    /// engine mid-run. After the faulted round, any engine that delivered
-    /// fewer spreads than its chunk is treated as failed; its unpriced
-    /// options are **re-sharded across the surviving engines** in up to
-    /// `max_attempts` fault-free retry rounds. If no engine survives, the
-    /// run **degrades gracefully to the CPU engine** ([`cds_cpu`]), with
-    /// the retried options' wall-clock taken from the calibrated Xeon
-    /// model. Pricing is deterministic, so recovered spreads are identical
-    /// to a fault-free run's.
+    /// Every engine's stages and streams are built into one graph and run
+    /// concurrently, so the makespan — the slowest engine — emerges from
+    /// the simulation itself; the calibrated interconnect contention and
+    /// the shared PCIe transfer are applied to the simulated kernel time.
+    /// The policy's fault plan is injected into this first round. Any
+    /// engine that delivered fewer spreads than its chunk is then treated
+    /// as failed, and its unpriced options are **re-sharded across the
+    /// surviving engines** in up to `max_attempts` fault-free rounds. If no
+    /// engine survives, the run **degrades gracefully to the CPU engine**
+    /// ([`cds_cpu`]), with the retried options' wall-clock taken from the
+    /// calibrated Xeon model. Pricing is deterministic, so recovered
+    /// spreads are identical to a fault-free run's. With a scrub policy,
+    /// every spread is guarded against its option's invariants, options
+    /// named by corruption fault events are quarantined, and quarantined
+    /// spreads are repriced on the CPU fallback (see [`crate::scrub`]).
     ///
-    /// Returns [`crate::error::CdsError::Exhausted`] if options remain unpriced after
+    /// With a `journal` of `(cadence, sink)`, a cumulative [`Checkpoint`]
+    /// is handed to `sink` after every `cadence` completed options (in
+    /// completion order), plus a terminal commit record. Checkpoints are
+    /// emitted even when the run ends in [`CdsError::Exhausted`], so
+    /// [`MultiEngine::resume_batch_resilient`] can finish the work.
+    ///
+    /// Returns [`CdsError::Exhausted`] if options remain unpriced after
     /// the final attempt (only reachable with `max_attempts == 0`, since
     /// retry rounds are fault-free).
     pub fn price_batch_resilient(
         &self,
         options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        max_attempts: usize,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        self.price_batch_resilient_core(options, plan, max_attempts, None, None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient`] under a validated
-    /// [`RetryPolicy`] — the same policy type the `cds-server` serving
-    /// layer consumes, so batch failover and quote serving share one
-    /// source of retry budgets instead of per-call-site magic numbers.
-    /// The policy's `max_attempts` bounds the fault-free re-shard
-    /// rounds; an invalid policy is rejected up front with the typed
-    /// [`crate::retry::RetryPolicyError`] (as [`crate::error::CdsError::Config`]).
-    pub fn price_batch_resilient_with(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        policy: &RetryPolicy,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        policy.validate()?;
-        self.price_batch_resilient_core(options, plan, policy.max_attempts, None, None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient_scrubbed`] under a validated
-    /// [`RetryPolicy`] (see [`MultiEngine::price_batch_resilient_with`]).
-    pub fn price_batch_resilient_scrubbed_with(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        policy: &RetryPolicy,
-        scrub: &ScrubPolicy,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        policy.validate()?;
-        self.price_batch_resilient_core(options, plan, policy.max_attempts, Some(scrub), None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient`] with the result-integrity
-    /// scrubber enabled: every spread is guarded against its option's
-    /// invariants, options named by corruption fault events are
-    /// quarantined, and quarantined spreads are repriced on the CPU
-    /// fallback engine (see [`crate::scrub`]).
-    pub fn price_batch_resilient_scrubbed(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        max_attempts: usize,
-        scrub: &ScrubPolicy,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        self.price_batch_resilient_core(options, plan, max_attempts, Some(scrub), None)
-    }
-
-    /// [`MultiEngine::price_batch_resilient`] with a write-ahead run
-    /// journal: a cumulative [`Checkpoint`] is handed to `sink` after
-    /// every `cadence` completed options (in completion order), plus a
-    /// terminal commit record. Checkpoints are emitted even when the run
-    /// ends in [`crate::error::CdsError::Exhausted`], so
-    /// [`MultiEngine::resume_batch_resilient`] can finish the work.
-    pub fn price_batch_resilient_checkpointed(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        max_attempts: usize,
-        scrub: Option<&ScrubPolicy>,
-        cadence: u32,
-        mut sink: impl FnMut(&Checkpoint),
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        self.price_batch_resilient_core(
-            options,
-            plan,
-            max_attempts,
-            scrub,
-            Some((cadence, &mut sink)),
-        )
-    }
-
-    /// Resume a batch from a [`Checkpoint`]: options the checkpoint has
-    /// seen complete are taken verbatim (bit-exact), the remainder is
-    /// priced fault-free across the engines. Timing and counters
-    /// describe the resumed portion only; the report is marked degraded
-    /// when the checkpoint was incomplete (the original run failed).
-    pub fn resume_batch_resilient(
-        &self,
-        options: &[CdsOption],
-        checkpoint: &Checkpoint,
-        max_attempts: usize,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        use crate::error::CdsError;
-        checkpoint.validate()?;
-        if checkpoint.total_options as usize != options.len() {
-            return Err(CdsError::Journal {
-                reason: format!(
-                    "checkpoint covers {} options but the batch has {}",
-                    checkpoint.total_options,
-                    options.len()
-                ),
-            });
-        }
-        if !checkpoint.shed.is_empty() {
-            return Err(CdsError::Journal {
-                reason: "a batch deployment admits everything; shed options mean this checkpoint \
-                         belongs to a streaming run"
-                    .to_string(),
-            });
-        }
-        let done: std::collections::BTreeSet<u32> =
-            checkpoint.completed.iter().map(|c| c.index).collect();
-        let missing: Vec<usize> =
-            (0..options.len()).filter(|&i| !done.contains(&(i as u32))).collect();
-        let mut spreads = vec![0.0f64; options.len()];
-        for c in &checkpoint.completed {
-            spreads[c.index as usize] = c.spread_bps;
-        }
-        if missing.is_empty() {
-            return Ok(MultiEngineReport {
-                spreads,
-                engines: self.n_engines,
-                total_seconds: 0.0,
-                options_per_second: 0.0,
-                slowest_engine_seconds: 0.0,
-                counters: Counters::default(),
-                faults_injected: 0,
-                options_retried: 0,
-                options_shed: 0,
-                degraded: false,
-                scrub: None,
-            });
-        }
-        let missing_opts: Vec<CdsOption> = missing.iter().map(|&i| options[i]).collect();
-        let sub = self.price_batch_resilient(&missing_opts, None, max_attempts)?;
-        for (&i, &s) in missing.iter().zip(&sub.spreads) {
-            spreads[i] = s;
-        }
-        Ok(MultiEngineReport {
-            spreads,
-            engines: sub.engines,
-            total_seconds: sub.total_seconds,
-            options_per_second: if sub.total_seconds > 0.0 {
-                options.len() as f64 / sub.total_seconds
-            } else {
-                0.0
-            },
-            slowest_engine_seconds: sub.slowest_engine_seconds,
-            counters: sub.counters,
-            faults_injected: sub.faults_injected,
-            options_retried: missing.len() as u64,
-            options_shed: 0,
-            degraded: true, // resuming means the original deployment died mid-run
-            scrub: sub.scrub,
-        })
-    }
-
-    fn price_batch_resilient_core(
-        &self,
-        options: &[CdsOption],
-        plan: Option<&FaultPlan>,
-        max_attempts: usize,
-        scrub: Option<&ScrubPolicy>,
+        policy: &BatchPolicy,
         mut journal: Option<JournalSink<'_>>,
-    ) -> Result<MultiEngineReport, crate::error::CdsError> {
-        use crate::error::CdsError;
-        use crate::tokens::{OptionTok, SpreadTok, TimePointTok, Tok};
-        use crate::variants::dataflow::build_graph_into;
-        use dataflow_sim::event_sim::EventSim;
-        use dataflow_sim::graph::GraphBuilder;
-        use std::rc::Rc;
-
-        if let Some((cadence, _)) = &journal {
-            if *cadence == 0 {
-                return Err(CdsError::Config { reason: "checkpoint cadence must be at least 1" });
-            }
+    ) -> Result<MultiEngineReport, CdsError> {
+        if journal.as_ref().is_some_and(|(cadence, _)| *cadence == 0) {
+            return Err(CdsError::Config { reason: "checkpoint cadence must be at least 1" });
         }
         let n = self.n_engines;
         if options.is_empty() {
             return Ok(self.price_batch(options));
         }
-        if self.config.region_mode != dataflow_sim::region::RegionMode::Continuous {
+        if self.config.region_mode != RegionMode::Continuous {
             return Err(CdsError::Config {
                 reason: "resilient deployment requires continuous engines",
             });
@@ -599,88 +384,40 @@ impl MultiEngine {
             CdsOption::validated(o.maturity, o.frequency, o.recovery_rate)?;
         }
 
+        // Round 0, under the fault plan. Completion cycles are kept for
+        // the write-ahead journal.
         let market = Rc::new(self.market.clone());
-        let chunk_size = options.len().div_ceil(n);
-        let mut g = GraphBuilder::new();
-        if let Some(p) = plan {
-            // Tag every token type with its owning (global) option index,
-            // so fault events name the option the scrubber quarantines.
-            let p = p
-                .clone()
-                .identify::<OptionTok>(|t| Some(t.opt_idx))
-                .identify::<TimePointTok>(|t| Some(t.opt_idx))
-                .identify::<Tok>(|t| Some(t.opt_idx))
-                .identify::<SpreadTok>(|t| Some(t.opt_idx));
-            g.set_fault_plan(p);
-        }
-        let mut sinks = Vec::with_capacity(n);
-        let mut base_idx = 0u32;
-        for (k, chunk) in options.chunks(chunk_size).enumerate() {
-            let sink = build_graph_into(
-                &mut g,
-                &format!("e{k}."),
-                market.clone(),
-                &self.config,
-                chunk,
-                base_idx,
-                None,
-            );
-            sinks.push((sink, chunk.len()));
-            base_idx += chunk.len() as u32;
-        }
-        let processes = g.process_count();
-        let mut sim = EventSim::new(g);
-        let report = sim.run().map_err(CdsError::Sim)?;
-        let faults_injected = report.faults.total();
-
-        // Harvest round 0: an engine that under-delivered its chunk is
-        // treated as dead for the rest of the run. Completion cycles are
-        // kept for the write-ahead journal.
+        let round = self.run_round(&market, options, n, "", policy.fault_plan.as_ref())?;
         let mut spreads_by_idx: Vec<Option<f64>> = vec![None; options.len()];
         let mut completions: Vec<CompletedOption> = Vec::with_capacity(options.len());
-        let mut survivors: Vec<usize> = Vec::with_capacity(n);
-        for (k, (sink, expected)) in sinks.iter().enumerate() {
-            let collected = sink.collected();
-            if collected.len() == *expected {
-                survivors.push(k);
-            }
-            for (tok, done_at) in collected {
-                spreads_by_idx[tok.opt_idx as usize] = Some(tok.spread_bps);
-                completions.push(CompletedOption {
-                    index: tok.opt_idx,
-                    done_cycle: done_at,
-                    spread_bps: tok.spread_bps,
-                });
-            }
+        for &(tok, done_at) in &round.delivered {
+            spreads_by_idx[tok.opt_idx as usize] = Some(tok.spread_bps);
+            completions.push(CompletedOption {
+                index: tok.opt_idx,
+                done_cycle: done_at,
+                spread_bps: tok.spread_bps,
+            });
         }
         completions.sort_by_key(|c| (c.done_cycle, c.index));
-        let mut cycle_base = report.total_cycles;
-        // Options whose tokens a corruption fault mutated (global indices).
-        let tainted: Vec<u32> = report
-            .fault_events
-            .iter()
-            .filter(|e| e.kind == FaultKind::Corrupt)
-            .filter_map(|e| e.opt_idx)
-            .collect();
-
-        let kernel =
-            report.total_cycles + self.config.region_cost.invocation_overhead(processes / n.max(1));
         let curve_load = self
             .config
             .memory
             .curve_load_cycles(self.market.hazard.len().max(self.market.interest.len()));
-        let mut compute_seconds =
-            self.config.clock.seconds(kernel + curve_load) * contention_factor(n);
-        let slowest_engine_seconds = self.config.clock.seconds(kernel + curve_load);
+        let slowest_engine_seconds = self.config.clock.seconds(round.kernel_cycles + curve_load);
+        let mut compute_seconds = slowest_engine_seconds * contention_factor(n);
         let trace = self.config.trace.clone().unwrap_or_default();
-        let mut counters = Counters::from_run(&trace, &report);
+        let mut counters = Counters::from_run(&trace, &round.sim);
+        let mut cycle_base = round.sim.total_cycles;
 
-        // Bounded recovery: re-shard missing options over the survivors
-        // (fault-free), or degrade to the CPU engine when none remain.
+        // Bounded recovery: an engine that under-delivered its chunk is
+        // dead for the rest of the run. Re-shard missing options over the
+        // survivors (fault-free), or degrade to the CPU engine when none
+        // remain.
+        let survivors = n - round.failed_engines;
+        let degraded = round.failed_engines > 0;
         let mut options_retried = 0u64;
-        let mut degraded = survivors.len() < n;
         let mut attempts = 0usize;
-        while attempts < max_attempts {
+        while attempts < policy.max_attempts {
             let missing: Vec<usize> =
                 (0..options.len()).filter(|&i| spreads_by_idx[i].is_none()).collect();
             if missing.is_empty() {
@@ -689,9 +426,8 @@ impl MultiEngine {
             attempts += 1;
             options_retried += missing.len() as u64;
             let retry_opts: Vec<CdsOption> = missing.iter().map(|&i| options[i]).collect();
-            if survivors.is_empty() {
+            if survivors == 0 {
                 // Every FPGA engine is down: fall back to the CPU engine.
-                degraded = true;
                 let cpu = cds_cpu::CpuCdsEngine::new(&self.market);
                 for (&i, spread) in missing.iter().zip(cpu.price_batch(&retry_opts)) {
                     spreads_by_idx[i] = Some(spread);
@@ -705,53 +441,34 @@ impl MultiEngine {
                     cds_cpu::CpuPerfModel::xeon_8260m().batch_seconds(retry_opts.len() as u64, 24);
                 break;
             }
-            let retry_chunk = retry_opts.len().div_ceil(survivors.len());
-            let mut rg = GraphBuilder::new();
-            let mut retry_sinks = Vec::with_capacity(survivors.len());
-            for (k, chunk) in retry_opts.chunks(retry_chunk).enumerate() {
-                let sink = build_graph_into(
-                    &mut rg,
-                    &format!("r{attempts}e{k}."),
-                    market.clone(),
-                    &self.config,
-                    chunk,
-                    (retry_chunk * k) as u32,
-                    None,
-                );
-                retry_sinks.push(sink);
+            let retry =
+                self.run_round(&market, &retry_opts, survivors, &format!("r{attempts}"), None)?;
+            for (tok, done_at) in retry.delivered {
+                let orig = missing[tok.opt_idx as usize];
+                spreads_by_idx[orig] = Some(tok.spread_bps);
+                completions.push(CompletedOption {
+                    index: orig as u32,
+                    done_cycle: cycle_base + done_at,
+                    spread_bps: tok.spread_bps,
+                });
             }
-            let retry_processes = rg.process_count();
-            let mut retry_sim = EventSim::new(rg);
-            let retry_report = retry_sim.run().map_err(CdsError::Sim)?;
-            for sink in retry_sinks {
-                for (tok, done_at) in sink.collected() {
-                    let orig = missing[tok.opt_idx as usize];
-                    spreads_by_idx[orig] = Some(tok.spread_bps);
-                    completions.push(CompletedOption {
-                        index: orig as u32,
-                        done_cycle: cycle_base + done_at,
-                        spread_bps: tok.spread_bps,
-                    });
-                }
-            }
-            cycle_base += retry_report.total_cycles;
-            let retry_kernel = retry_report.total_cycles
-                + self.config.region_cost.invocation_overhead(retry_processes / survivors.len());
+            cycle_base += retry.sim.total_cycles;
             compute_seconds +=
-                self.config.clock.seconds(retry_kernel) * contention_factor(survivors.len());
-            counters.merge(&Counters::from_run(&trace, &retry_report));
+                self.config.clock.seconds(retry.kernel_cycles) * contention_factor(survivors);
+            counters.merge(&Counters::from_run(&trace, &retry.sim));
         }
 
         // Result-integrity scrub: guard every priced spread, quarantine
         // tainted options, reprice on the CPU fallback. The journal
         // records scrubbed values, so a resume reproduces clean spreads.
         let mut scrub_report = None;
-        if let Some(sp) = scrub {
+        if let Some(sp) = &policy.scrub {
             let mut priced: Vec<(u32, f64)> = spreads_by_idx
                 .iter()
                 .enumerate()
                 .filter_map(|(i, s)| s.map(|v| (i as u32, v)))
                 .collect();
+            let tainted: Vec<u32> = corrupted_options(&round.sim.fault_events).collect();
             let sr = scrub_spreads(&self.market, options, &mut priced, &tainted, sp)?;
             for &(i, v) in &priced {
                 spreads_by_idx[i as usize] = Some(v);
@@ -768,11 +485,10 @@ impl MultiEngine {
         // completion order, emitted even if recovery was exhausted below.
         if let Some((cadence, emit)) = journal.as_mut() {
             let admitted: Vec<u32> = (0..options.len() as u32).collect();
-            let fault_seed = plan.map(FaultPlan::seed);
             for checkpoint in checkpoint_stream(
                 options.len() as u32,
                 *cadence,
-                fault_seed,
+                policy.fault_plan.as_ref().map(FaultPlan::seed),
                 None, // batch deployments run no named scenario
                 &admitted,
                 &[],
@@ -783,16 +499,9 @@ impl MultiEngine {
         }
 
         let unpriced = spreads_by_idx.iter().filter(|s| s.is_none()).count();
-        if unpriced > 0 {
+        let Some(spreads) = spreads_by_idx.into_iter().collect::<Option<Vec<f64>>>() else {
             return Err(CdsError::Exhausted { attempts, unpriced });
-        }
-        let spreads: Vec<f64> = spreads_by_idx
-            .into_iter()
-            .map(|s| match s {
-                Some(v) => v,
-                None => unreachable!("unpriced options returned Exhausted above"),
-            })
-            .collect();
+        };
         let transfer = self.config.pcie.option_batch_seconds(options.len() as u64);
         let total_seconds = compute_seconds + transfer;
         Ok(MultiEngineReport {
@@ -802,11 +511,99 @@ impl MultiEngine {
             slowest_engine_seconds,
             spreads,
             counters,
-            faults_injected,
+            faults_injected: round.sim.faults.total(),
             options_retried,
             options_shed: 0,
             degraded,
             scrub: scrub_report,
+        })
+    }
+
+    /// One round of [`MultiEngine::price_batch_resilient`]: `options`
+    /// split into contiguous chunks over `engines` engines, all built
+    /// into one graph (engine `k`'s processes name-prefixed
+    /// `{prefix}e{k}.`) and run in one [`EventSim`]. Token indices are
+    /// positions in `options`.
+    fn run_round(
+        &self,
+        market: &Rc<MarketData<f64>>,
+        options: &[CdsOption],
+        engines: usize,
+        prefix: &str,
+        plan: Option<&FaultPlan>,
+    ) -> Result<Round, CdsError> {
+        let chunk_size = options.len().div_ceil(engines);
+        let mut g = GraphBuilder::new();
+        if let Some(p) = plan {
+            g.set_fault_plan(tag_fault_plan(p));
+        }
+        let mut sinks = Vec::with_capacity(engines);
+        for (k, chunk) in options.chunks(chunk_size).enumerate() {
+            let sink = build_graph_into(
+                &mut g,
+                &format!("{prefix}e{k}."),
+                market.clone(),
+                &self.config,
+                chunk,
+                (chunk_size * k) as u32,
+                None,
+            );
+            sinks.push((sink, chunk.len()));
+        }
+        let processes = g.process_count();
+        let sim = EventSim::new(g).run().map_err(CdsError::Sim)?;
+        let kernel_cycles =
+            sim.total_cycles + self.config.region_cost.invocation_overhead(processes / engines);
+        let mut failed_engines = 0;
+        let mut delivered = Vec::with_capacity(options.len());
+        for (sink, expected) in sinks {
+            let collected = sink.collected();
+            failed_engines += usize::from(collected.len() != expected);
+            delivered.extend(collected);
+        }
+        Ok(Round { sim, kernel_cycles, failed_engines, delivered })
+    }
+
+    /// Resume a batch from a [`Checkpoint`]: options the checkpoint has
+    /// seen complete are taken verbatim (bit-exact), the remainder is
+    /// priced fault-free across the engines. Timing and counters
+    /// describe the resumed portion only; the report is marked degraded
+    /// when the checkpoint was incomplete (the original run failed).
+    pub fn resume_batch_resilient(
+        &self,
+        options: &[CdsOption],
+        checkpoint: &Checkpoint,
+        max_attempts: usize,
+    ) -> Result<MultiEngineReport, CdsError> {
+        let missing = checkpoint.remaining(options.len())?;
+        if checkpoint.admitted.len() != options.len() {
+            return Err(CdsError::Journal {
+                reason: "a batch deployment admits everything; an option left unadmitted means \
+                         this checkpoint belongs to a streaming run"
+                    .to_string(),
+            });
+        }
+        let mut spreads = vec![0.0f64; options.len()];
+        for c in &checkpoint.completed {
+            spreads[c.index as usize] = c.spread_bps;
+        }
+        let missing_opts: Vec<CdsOption> = missing.iter().map(|&i| options[i as usize]).collect();
+        let policy = BatchPolicy { max_attempts, ..BatchPolicy::default() };
+        let sub = self.price_batch_resilient(&missing_opts, &policy, None)?;
+        for (&i, &s) in missing.iter().zip(&sub.spreads) {
+            spreads[i as usize] = s;
+        }
+        Ok(MultiEngineReport {
+            spreads,
+            options_per_second: if sub.total_seconds > 0.0 {
+                options.len() as f64 / sub.total_seconds
+            } else {
+                0.0
+            },
+            options_retried: missing.len() as u64,
+            // Unfinished work means the original deployment died mid-run.
+            degraded: !missing.is_empty(),
+            ..sub
         })
     }
 }
@@ -826,6 +623,22 @@ mod tests {
 
     fn market() -> MarketData<f64> {
         MarketData::paper_workload(7)
+    }
+
+    /// The fault-free single-simulation deployment.
+    fn simulated(multi: &MultiEngine, options: &[CdsOption]) -> MultiEngineReport {
+        ok(multi.price_batch_resilient(options, &BatchPolicy::default(), None))
+    }
+
+    /// A run under `plan` with `max_attempts` re-shard rounds.
+    fn faulted(
+        multi: &MultiEngine,
+        options: &[CdsOption],
+        plan: Option<FaultPlan>,
+        max_attempts: usize,
+    ) -> Result<MultiEngineReport, CdsError> {
+        let policy = BatchPolicy { fault_plan: plan, max_attempts, scrub: None };
+        multi.price_batch_resilient(options, &policy, None)
     }
 
     #[test]
@@ -897,7 +710,7 @@ mod tests {
         let options = PortfolioGenerator::uniform(60, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 3));
         let modelled = multi.price_batch(&options);
-        let simulated = multi.price_batch_simulated(&options);
+        let simulated = simulated(&multi, &options);
         assert_eq!(modelled.spreads, simulated.spreads, "numerics must agree");
         // All three engines run concurrently inside one DES; the makespan
         // must agree with the max-over-engines model within a few percent
@@ -932,9 +745,9 @@ mod tests {
         let market = market();
         let options = PortfolioGenerator::uniform(50, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 5));
-        let clean = multi.price_batch_simulated(&options);
+        let clean = simulated(&multi, &options);
         let plan = FaultPlan::new(0xC0FFEE).kill_region("e2.", 60_000);
-        let report = match multi.price_batch_resilient(&options, Some(&plan), 3) {
+        let report = match faulted(&multi, &options, Some(plan), 3) {
             Ok(r) => r,
             Err(e) => panic!("resilient run must recover: {e}"),
         };
@@ -957,7 +770,7 @@ mod tests {
         for k in 0..3 {
             plan = plan.kill_region(format!("e{k}."), 10_000);
         }
-        let report = match multi.price_batch_resilient(&options, Some(&plan), 2) {
+        let report = match faulted(&multi, &options, Some(plan), 2) {
             Ok(r) => r,
             Err(e) => panic!("CPU fallback must price everything: {e}"),
         };
@@ -976,23 +789,22 @@ mod tests {
         // Corrupt one spread token on engine 1's output blatantly and one
         // on engine 0's subtly; the scrubber must quarantine both (guard
         // + taint) and converge to the fault-free spreads.
-        use crate::tokens::SpreadTok;
         let market = market();
         let options = PortfolioGenerator::uniform(24, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 3));
-        let clean = multi.price_batch_simulated(&options);
+        let clean = simulated(&multi, &options);
         let plan = FaultPlan::new(0xBAD)
             .corrupt_nth::<SpreadTok>("e1.spreads", 3, |t| SpreadTok { spread_bps: f64::NAN, ..t })
             .corrupt_nth::<SpreadTok>("e0.spreads", 1, |t| SpreadTok {
                 spread_bps: t.spread_bps + 0.25,
                 ..t
             });
-        let report = match multi.price_batch_resilient_scrubbed(
-            &options,
-            Some(&plan),
-            2,
-            &ScrubPolicy { cross_check_every: 0 },
-        ) {
+        let policy = BatchPolicy {
+            fault_plan: Some(plan),
+            max_attempts: 2,
+            scrub: Some(ScrubPolicy { cross_check_every: 0 }),
+        };
+        let report = match multi.price_batch_resilient(&options, &policy, None) {
             Ok(r) => r,
             Err(e) => panic!("scrubbed run must succeed: {e}"),
         };
@@ -1012,18 +824,19 @@ mod tests {
         // Engine death with zero retries: the run fails with Exhausted,
         // but the write-ahead journal still holds every completion, and
         // the resume finishes the work bit-identically to a clean run.
-        use crate::error::CdsError;
         let market = market();
         let options = PortfolioGenerator::uniform(30, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 3));
-        let clean = multi.price_batch_simulated(&options);
+        let clean = simulated(&multi, &options);
 
         let plan = FaultPlan::new(7).kill_region("e1.", 40_000);
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let err =
-            multi.price_batch_resilient_checkpointed(&options, Some(&plan), 0, None, 4, |c| {
-                checkpoints.push(c.clone())
-            });
+        let policy = BatchPolicy { fault_plan: Some(plan), ..BatchPolicy::default() };
+        let err = multi.price_batch_resilient(
+            &options,
+            &policy,
+            Some((4, &mut |c: &Checkpoint| checkpoints.push(c.clone()))),
+        );
         assert!(matches!(err, Err(CdsError::Exhausted { .. })), "got {err:?}");
         let last = match checkpoints.last() {
             Some(c) => c.clone(),
@@ -1054,9 +867,12 @@ mod tests {
         let options = PortfolioGenerator::uniform(10, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 2));
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let full = match multi.price_batch_resilient_checkpointed(&options, None, 1, None, 4, |c| {
-            checkpoints.push(c.clone())
-        }) {
+        let policy = BatchPolicy { max_attempts: 1, ..BatchPolicy::default() };
+        let full = match multi.price_batch_resilient(
+            &options,
+            &policy,
+            Some((4, &mut |c: &Checkpoint| checkpoints.push(c.clone()))),
+        ) {
             Ok(r) => r,
             Err(e) => panic!("clean run must succeed: {e}"),
         };
@@ -1078,29 +894,23 @@ mod tests {
     }
 
     #[test]
-    fn resilient_without_faults_matches_simulated() {
-        let market = market();
-        let options = PortfolioGenerator::new(3).portfolio(24);
-        let multi = ok(MultiEngine::new(market, 4));
-        let simulated = multi.price_batch_simulated(&options);
-        let resilient = match multi.price_batch_resilient(&options, None, 2) {
-            Ok(r) => r,
-            Err(e) => panic!("fault-free resilient run must succeed: {e}"),
-        };
-        assert_eq!(resilient.spreads, simulated.spreads);
-        assert!(!resilient.degraded);
-        assert_eq!(resilient.options_retried, 0);
-        assert_eq!(resilient.faults_injected, 0);
+    fn idle_engines_are_not_failed_engines() {
+        // Six options on four engines shard as 2+2+2: the fourth engine
+        // gets no chunk, which must not read as an engine death.
+        let options = PortfolioGenerator::new(3).portfolio(6);
+        let multi = ok(MultiEngine::new(market(), 4));
+        let report = simulated(&multi, &options);
+        assert_eq!(report.spreads.len(), 6);
+        assert!(!report.degraded, "a fault-free run is never degraded");
     }
 
     #[test]
     fn zero_attempts_with_death_is_exhausted() {
-        use crate::error::CdsError;
         let market = market();
         let options = PortfolioGenerator::uniform(20, 5.5, PaymentFrequency::Quarterly, 0.4);
         let multi = ok(MultiEngine::new(market, 2));
         let plan = FaultPlan::new(1).kill_region("e1.", 5_000);
-        match multi.price_batch_resilient(&options, Some(&plan), 0) {
+        match faulted(&multi, &options, Some(plan), 0) {
             Err(CdsError::Exhausted { attempts: 0, unpriced }) => assert!(unpriced > 0),
             other => panic!("expected Exhausted, got {other:?}"),
         }
@@ -1108,12 +918,11 @@ mod tests {
 
     #[test]
     fn resilient_rejects_invalid_option_at_ingress() {
-        use crate::error::CdsError;
         let market = market();
         let mut options = PortfolioGenerator::uniform(4, 5.5, PaymentFrequency::Quarterly, 0.4);
         options[1].recovery_rate = 1.5;
         let multi = ok(MultiEngine::new(market, 2));
-        match multi.price_batch_resilient(&options, None, 1) {
+        match faulted(&multi, &options, None, 1) {
             Err(CdsError::Quant(_)) => {}
             other => panic!("expected Quant error, got {other:?}"),
         }

@@ -1,9 +1,11 @@
 //! Validated retry/backoff/deadline policy for the recovery layers.
 //!
-//! Both recovery surfaces of the project — the batch failover path
-//! ([`crate::multi::MultiEngine::price_batch_resilient_with`]) and the
-//! `cds-server` serving front-end's deadline-aware retry/hedging layer —
-//! consume the same [`RetryPolicy`]. Centralising the parameters here
+//! Both recovery surfaces of the project draw their budgets from the
+//! same [`RetryPolicy`]: the batch failover path takes its re-shard
+//! rounds from `max_attempts` (into
+//! [`crate::multi::BatchPolicy::max_attempts`]), and the `cds-server`
+//! serving front-end's deadline-aware retry/hedging layer consumes the
+//! whole policy. Centralising the parameters here
 //! removes the magic retry counts that used to be sprinkled over call
 //! sites and makes the budgets *validated*: a zero or negative budget is
 //! a configuration bug and is rejected with a typed

@@ -2,9 +2,12 @@
 //! turn a batch of options into spreads.
 //!
 //! The repository has grown five ways to price a batch (the four Table-I
-//! engine variants, the multi-engine deployment in three simulation
-//! fidelities, the streaming ingress, and the three CPU engines), plus
-//! the robustness layers wrapped around them (resilient re-sharding,
+//! engine variants, the multi-engine deployment in three fidelities —
+//! analytic model, staggered DMA, and one shared discrete-event
+//! simulation —, the streaming ingress, and the three CPU engines), plus
+//! the robustness layers that the simulated deployments switch on by
+//! policy ([`crate::multi::BatchPolicy`],
+//! [`crate::streaming::StreamingPolicy`]: engine-loss re-sharding,
 //! result scrubbing, write-ahead checkpoint/resume). Every one of them
 //! must produce the same spreads, which means every one of them must be
 //! *enumerable* by correctness tooling. `PriceRoute` names each path and
@@ -15,7 +18,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::EngineVariant;
 use crate::error::CdsError;
-use crate::multi::MultiEngine;
+use crate::multi::{BatchPolicy, MultiEngine};
 use crate::retry::RetryPolicy;
 use crate::scrub::ScrubPolicy;
 use crate::streaming::{run_streaming_checkpointed, run_streaming_with, StreamingPolicy};
@@ -57,7 +60,7 @@ pub enum PriceRoute {
     /// Five engines, analytic contention model (the Table-II rows).
     MultiModelled,
     /// Five engines instantiated concurrently in one discrete-event
-    /// simulation.
+    /// simulation, under the default (fault-free) batch policy.
     MultiSimulated,
     /// Five engines with staggered batch hand-off.
     MultiStaggered,
@@ -166,40 +169,37 @@ impl PriceRoute {
                 Ok(engine.price_batch(options).spreads)
             }
             PriceRoute::MultiModelled => Ok(self.multi(market)?.price_batch(options).spreads),
-            PriceRoute::MultiSimulated => {
-                Ok(self.multi(market)?.price_batch_simulated(options).spreads)
-            }
             PriceRoute::MultiStaggered => {
                 Ok(self.multi(market)?.price_batch_staggered(options).spreads)
             }
-            PriceRoute::ResilientEngineLoss => {
-                let plan = FaultPlan::new(1).kill_region("e1.", KILL_CYCLE);
-                let report = self.multi(market)?.price_batch_resilient_with(
-                    options,
-                    Some(&plan),
-                    &RetryPolicy::batch_failover(),
-                )?;
-                Self::complete_spreads(report.spreads, options.len())
-            }
-            PriceRoute::ResilientScrubbed => {
-                let report = self.multi(market)?.price_batch_resilient_scrubbed_with(
-                    options,
-                    None,
-                    &RetryPolicy::batch_failover(),
-                    &ScrubPolicy::default(),
-                )?;
+            PriceRoute::MultiSimulated
+            | PriceRoute::ResilientEngineLoss
+            | PriceRoute::ResilientScrubbed => {
+                let failover = RetryPolicy::batch_failover().max_attempts;
+                let policy = match self {
+                    PriceRoute::ResilientEngineLoss => BatchPolicy {
+                        fault_plan: Some(FaultPlan::new(1).kill_region("e1.", KILL_CYCLE)),
+                        max_attempts: failover,
+                        scrub: None,
+                    },
+                    PriceRoute::ResilientScrubbed => BatchPolicy {
+                        fault_plan: None,
+                        max_attempts: failover,
+                        scrub: Some(ScrubPolicy::default()),
+                    },
+                    _ => BatchPolicy::default(),
+                };
+                let report = self.multi(market)?.price_batch_resilient(options, &policy, None)?;
                 Self::complete_spreads(report.spreads, options.len())
             }
             PriceRoute::CheckpointResume => {
                 let multi = self.multi(market)?;
+                let max_attempts = RetryPolicy::batch_failover().max_attempts;
                 let mut checkpoints: Vec<Checkpoint> = Vec::new();
-                multi.price_batch_resilient_checkpointed(
+                multi.price_batch_resilient(
                     options,
-                    None,
-                    RetryPolicy::batch_failover().max_attempts,
-                    None,
-                    RESUME_CADENCE,
-                    |c| checkpoints.push(c.clone()),
+                    &BatchPolicy { max_attempts, ..BatchPolicy::default() },
+                    Some((RESUME_CADENCE, &mut |c: &Checkpoint| checkpoints.push(c.clone()))),
                 )?;
                 // Resume from a mid-run checkpoint (not the terminal
                 // commit), so the merge path genuinely runs.
@@ -207,11 +207,7 @@ impl PriceRoute {
                     .get(checkpoints.len().saturating_sub(2) / 2)
                     .or_else(|| checkpoints.first())
                     .ok_or(CdsError::Config { reason: "checkpointed run emitted no journal" })?;
-                let report = multi.resume_batch_resilient(
-                    options,
-                    cut,
-                    RetryPolicy::batch_failover().max_attempts,
-                )?;
+                let report = multi.resume_batch_resilient(options, cut, max_attempts)?;
                 Self::complete_spreads(report.spreads, options.len())
             }
             PriceRoute::Streaming | PriceRoute::StreamingScrubbed => {

@@ -25,6 +25,7 @@ use crate::error::CdsError;
 use cds_cpu::CpuCdsEngine;
 use cds_quant::invariant::{check_result, check_spread_bps, spread_envelope_bps};
 use cds_quant::option::{CdsOption, MarketData};
+use dataflow_sim::fault::{FaultEvent, FaultKind};
 
 /// Relative tolerance of the sampled CPU cross-check. Both the dataflow
 /// engine and the CPU engine agree with the reference pricer within
@@ -44,6 +45,13 @@ impl Default for ScrubPolicy {
     fn default() -> Self {
         ScrubPolicy { cross_check_every: 16 }
     }
+}
+
+/// Option indices whose tokens a corruption fault mutated, in event
+/// order: the taint set handed to [`scrub_spreads`]. Indices are those
+/// the run's tokens carried (see [`crate::tokens::tag_fault_plan`]).
+pub fn corrupted_options(events: &[FaultEvent]) -> impl Iterator<Item = u32> + '_ {
+    events.iter().filter(|e| e.kind == FaultKind::Corrupt).filter_map(|e| e.opt_idx)
 }
 
 /// One quarantined option: why it was rejected and what replaced it.

@@ -26,16 +26,22 @@
 //!   instead of hanging the run;
 //! * **fault injection** — a seeded [`FaultPlan`] forwarded to the
 //!   dataflow simulator for chaos testing.
+//!
+//! The batch deployment's [`crate::multi::BatchPolicy`] mirrors this
+//! policy, and both deployments share one copy of the plumbing around
+//! it: fault-plan token tagging ([`crate::tokens::tag_fault_plan`]), the
+//! corruption-taint scan ([`crate::scrub::corrupted_options`]) and the
+//! resume preamble ([`Checkpoint::remaining`]).
 
 use crate::checkpoint::{streaming_checkpoints, Checkpoint};
 use crate::config::EngineConfig;
 use crate::error::CdsError;
-use crate::scrub::{scrub_spreads, ScrubPolicy, ScrubReport};
-use crate::tokens::{OptionTok, SpreadTok, TimePointTok, Tok};
+use crate::scrub::{corrupted_options, scrub_spreads, ScrubPolicy, ScrubReport};
+use crate::tokens::tag_fault_plan;
 use crate::variants::dataflow::build_graph_into;
 use cds_quant::option::{CdsOption, MarketData};
 use dataflow_sim::event_sim::EventSim;
-use dataflow_sim::fault::{FaultKind, FaultPlan};
+use dataflow_sim::fault::FaultPlan;
 use dataflow_sim::graph::GraphBuilder;
 use dataflow_sim::region::RegionMode;
 use dataflow_sim::trace::Counters;
@@ -46,7 +52,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// Latency statistics of a streaming run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamingReport {
     /// Per-completed-option `(arrival_cycle, completion_cycle)`, in
     /// original option order.
@@ -91,6 +97,39 @@ impl StreamingReport {
     /// p99 latency in microseconds.
     pub fn p99_us(&self, config: &EngineConfig) -> f64 {
         config.clock.seconds(self.p99_cycles) * 1e6
+    }
+
+    /// The latency view of a completion set: spans, spreads, deadline
+    /// misses and nearest-rank p50/p99/max over `completed` —
+    /// `(original index, arrival, done, spread)` in original-index order.
+    /// Every other field is left at its default. Both a run and a resume
+    /// (over the merged completion set) summarise through this.
+    fn from_completions(
+        completed: &[(u32, Cycle, Cycle, f64)],
+        deadline: Option<Cycle>,
+    ) -> StreamingReport {
+        let mut report = StreamingReport::default();
+        let mut latencies = Vec::with_capacity(completed.len());
+        for &(_, arrival, done_at, spread) in completed {
+            let latency = done_at.saturating_sub(arrival);
+            if deadline.is_some_and(|d| latency > d) {
+                report.deadline_misses += 1;
+            }
+            report.spans.push((arrival, done_at));
+            report.spreads.push(spread);
+            latencies.push(latency);
+        }
+        latencies.sort_unstable();
+        let pct = |p: f64| -> Cycle {
+            if latencies.is_empty() {
+                return 0;
+            }
+            latencies[((latencies.len() as f64 - 1.0) * p).round() as usize]
+        };
+        report.p50_cycles = pct(0.50);
+        report.p99_cycles = pct(0.99);
+        report.max_cycles = latencies.last().copied().unwrap_or(0);
+        report
     }
 }
 
@@ -264,20 +303,9 @@ pub fn run_streaming_with(
 
     if admitted.is_empty() {
         return Ok(StreamingReport {
-            spans: Vec::new(),
-            p50_cycles: 0,
-            p99_cycles: 0,
-            max_cycles: 0,
-            options_per_second: 0.0,
-            spreads: Vec::new(),
-            counters: Counters::default(),
             options_shed: shed_indices.len() as u64,
             shed_indices,
-            options_lost: 0,
-            lost_indices: Vec::new(),
-            deadline_misses: 0,
-            faults_injected: 0,
-            scrub: None,
+            ..StreamingReport::default()
         });
     }
 
@@ -286,15 +314,7 @@ pub fn run_streaming_with(
 
     let mut g = GraphBuilder::new();
     if let Some(plan) = &policy.fault_plan {
-        // Tag every token type with its owning option, so fault events
-        // name the option the scrubber must quarantine.
-        let plan = plan
-            .clone()
-            .identify::<OptionTok>(|t| Some(t.opt_idx))
-            .identify::<TimePointTok>(|t| Some(t.opt_idx))
-            .identify::<Tok>(|t| Some(t.opt_idx))
-            .identify::<SpreadTok>(|t| Some(t.opt_idx));
-        g.set_fault_plan(plan);
+        g.set_fault_plan(tag_fault_plan(plan));
     }
     let sink = build_graph_into(
         &mut g,
@@ -312,53 +332,29 @@ pub fn run_streaming_with(
     let collected = sink.collected();
     let mut done = vec![false; admitted.len()];
     // (original index, arrival, completion, spread), sorted by index.
-    let mut per_option: Vec<(usize, Cycle, Cycle, f64)> = Vec::with_capacity(collected.len());
+    let mut per_option: Vec<(u32, Cycle, Cycle, f64)> = Vec::with_capacity(collected.len());
     for (tok, done_at) in &collected {
         let pos = tok.opt_idx as usize;
         done[pos] = true;
-        per_option.push((admitted[pos], admitted_arrivals[pos], *done_at, tok.spread_bps));
+        per_option.push((admitted[pos] as u32, admitted_arrivals[pos], *done_at, tok.spread_bps));
     }
     per_option.sort_unstable_by_key(|&(idx, ..)| idx);
     let lost_indices: Vec<u32> =
         admitted.iter().zip(&done).filter(|(_, &d)| !d).map(|(&idx, _)| idx as u32).collect();
+    let mut latency = StreamingReport::from_completions(&per_option, policy.deadline_cycles);
 
-    let mut spans = Vec::with_capacity(per_option.len());
-    let mut latencies = Vec::with_capacity(per_option.len());
-    let mut spreads = Vec::with_capacity(per_option.len());
-    let mut deadline_misses = 0u64;
-    for &(_, arrival, done_at, spread) in &per_option {
-        let latency = done_at.saturating_sub(arrival);
-        if policy.deadline_cycles.is_some_and(|d| latency > d) {
-            deadline_misses += 1;
-        }
-        spans.push((arrival, done_at));
-        latencies.push(latency);
-        spreads.push(spread);
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| -> Cycle {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
     // Result-integrity scrub: guard every completed spread, quarantine
     // options tainted by corruption faults, reprice on the CPU fallback.
     let mut scrub = None;
     if let Some(sp) = &policy.scrub {
-        let tainted: Vec<u32> = report
-            .fault_events
-            .iter()
-            .filter(|e| e.kind == FaultKind::Corrupt)
-            .filter_map(|e| e.opt_idx)
+        let tainted: Vec<u32> = corrupted_options(&report.fault_events)
             .filter_map(|i| admitted.get(i as usize).map(|&orig| orig as u32))
             .collect();
         let mut priced: Vec<(u32, f64)> =
-            per_option.iter().map(|&(idx, _, _, s)| (idx as u32, s)).collect();
+            per_option.iter().map(|&(idx, _, _, s)| (idx, s)).collect();
         let scrub_report = scrub_spreads(&market, options, &mut priced, &tainted, sp)?;
         for (slot, &(_, s)) in priced.iter().enumerate() {
-            spreads[slot] = s;
+            latency.spreads[slot] = s;
         }
         scrub = Some(scrub_report);
     }
@@ -367,24 +363,19 @@ pub fn run_streaming_with(
     let trace = config.trace.clone().unwrap_or_default();
     let counters = Counters::from_run(&trace, &report);
     Ok(StreamingReport {
-        p50_cycles: pct(0.50),
-        p99_cycles: pct(0.99),
-        max_cycles: latencies.last().copied().unwrap_or(0),
         options_per_second: if span_seconds > 0.0 {
-            spreads.len() as f64 / span_seconds
+            latency.spreads.len() as f64 / span_seconds
         } else {
             0.0
         },
-        spans,
-        spreads,
         faults_injected: counters.faults.total(),
         counters,
         options_shed: shed_indices.len() as u64,
         shed_indices,
         options_lost: lost_indices.len() as u64,
         lost_indices,
-        deadline_misses,
         scrub,
+        ..latency
     })
 }
 
@@ -439,7 +430,7 @@ pub fn resume_streaming_from(
     policy: &StreamingPolicy,
     checkpoint: &Checkpoint,
 ) -> Result<StreamingReport, CdsError> {
-    checkpoint.validate()?;
+    let remaining = checkpoint.remaining(options.len())?;
     // Scenario guard: a checkpoint recorded under scenario X resumed
     // while requesting scenario Y would replay the wrong journal —
     // historically a silent empty-or-wrong run, now a typed error. A
@@ -455,22 +446,10 @@ pub fn resume_streaming_from(
             });
         }
     }
-    if checkpoint.total_options as usize != options.len() {
-        return Err(CdsError::Journal {
-            reason: format!(
-                "checkpoint covers {} options but the workload has {}",
-                checkpoint.total_options,
-                options.len()
-            ),
-        });
-    }
     if options.len() != arrivals.len() {
         return Err(CdsError::Config { reason: "need exactly one arrival cycle per option" });
     }
 
-    let done: BTreeSet<u32> = checkpoint.completed.iter().map(|c| c.index).collect();
-    let remaining: Vec<u32> =
-        checkpoint.admitted.iter().copied().filter(|i| !done.contains(i)).collect();
     let rem_opts: Vec<CdsOption> = remaining.iter().map(|&i| options[i as usize]).collect();
     let rem_arrivals: Vec<Cycle> = remaining.iter().map(|&i| arrivals[i as usize]).collect();
     let sub_policy = StreamingPolicy {
@@ -497,43 +476,16 @@ pub fn resume_streaming_from(
         merged.push((idx, arrival, done_at, spread));
     }
     merged.sort_unstable_by_key(|&(idx, ..)| idx);
-
-    let mut spans = Vec::with_capacity(merged.len());
-    let mut spreads = Vec::with_capacity(merged.len());
-    let mut latencies = Vec::with_capacity(merged.len());
-    let mut deadline_misses = 0u64;
-    for &(_, arrival, done_at, spread) in &merged {
-        let latency = done_at.saturating_sub(arrival);
-        if policy.deadline_cycles.is_some_and(|d| latency > d) {
-            deadline_misses += 1;
-        }
-        spans.push((arrival, done_at));
-        latencies.push(latency);
-        spreads.push(spread);
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| -> Cycle {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
-    };
     Ok(StreamingReport {
-        p50_cycles: pct(0.50),
-        p99_cycles: pct(0.99),
-        max_cycles: latencies.last().copied().unwrap_or(0),
         options_per_second: sub.options_per_second,
-        spans,
-        spreads,
         faults_injected: sub.faults_injected,
         counters: sub.counters,
         options_shed: checkpoint.shed.len() as u64,
         shed_indices: checkpoint.shed.clone(),
         options_lost: sub_lost.len() as u64,
         lost_indices: sub_lost.into_iter().collect(),
-        deadline_misses,
         scrub: sub.scrub,
+        ..StreamingReport::from_completions(&merged, policy.deadline_cycles)
     })
 }
 
@@ -980,6 +932,29 @@ mod tests {
             &last,
         );
         assert!(matches!(err, Err(CdsError::Journal { .. })), "got {err:?}");
+        // Matching inputs: the resume reproduces the uninterrupted run's
+        // latency view (spans, percentiles, deadline misses), not only
+        // its spreads. The deadline sits just under the median latency,
+        // so misses are counted on both sides.
+        let clean = run_streaming(market(), &config, &opts, &arrivals);
+        let timed =
+            StreamingPolicy { deadline_cycles: Some(clean.p50_cycles - 1), ..Default::default() };
+        let uninterrupted = match run_streaming_with(market(), &config, &opts, &arrivals, &timed) {
+            Ok(r) => r,
+            Err(e) => panic!("deadline run must succeed: {e}"),
+        };
+        assert!(uninterrupted.deadline_misses > 0, "deadline must bite");
+        let resumed =
+            match resume_streaming_from(market(), &config, &opts, &arrivals, &timed, &last) {
+                Ok(r) => r,
+                Err(e) => panic!("matching resume must succeed: {e}"),
+            };
+        assert_eq!(resumed.spans, uninterrupted.spans);
+        assert_eq!(resumed.spreads, uninterrupted.spreads);
+        assert_eq!(resumed.p50_cycles, uninterrupted.p50_cycles);
+        assert_eq!(resumed.p99_cycles, uninterrupted.p99_cycles);
+        assert_eq!(resumed.max_cycles, uninterrupted.max_cycles);
+        assert_eq!(resumed.deadline_misses, uninterrupted.deadline_misses);
         // Checkpoint cadence of zero is a configuration error.
         let err = run_streaming_checkpointed(
             market(),

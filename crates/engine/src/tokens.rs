@@ -7,6 +7,8 @@
 //! zip/merge stages of `dataflow-sim` operate on homogeneous types, just
 //! as the hardware streams all carry 64-bit words.
 
+use dataflow_sim::fault::FaultPlan;
+
 /// An option entering the engine (the red once-per-option inputs of the
 /// paper's Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +64,19 @@ pub struct SpreadTok {
     pub opt_idx: u32,
     /// Fair spread in basis points.
     pub spread_bps: f64,
+}
+
+/// `plan` with every token type tagged by its owning option index, so
+/// the fault events it records name the option the scrubber must
+/// quarantine. Both deployments (batch and streaming) install plans
+/// through this.
+#[must_use]
+pub fn tag_fault_plan(plan: &FaultPlan) -> FaultPlan {
+    plan.clone()
+        .identify::<OptionTok>(|t| Some(t.opt_idx))
+        .identify::<TimePointTok>(|t| Some(t.opt_idx))
+        .identify::<Tok>(|t| Some(t.opt_idx))
+        .identify::<SpreadTok>(|t| Some(t.opt_idx))
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use cds_engine::checkpoint::{Checkpoint, CompletedOption, CHECKPOINT_SCHEMA_VERS
 use cds_engine::config::EngineVariant;
 use cds_engine::multi::MultiEngine;
 use cds_engine::prelude::*;
+use cds_engine::tokens::SpreadTok;
 use cds_quant::option::{CdsOption, MarketData, PortfolioGenerator};
 use dataflow_sim::fault::FaultPlan;
 use dataflow_sim::Cycle;
@@ -220,17 +221,18 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("engines must fit: {e}"))),
         };
         let opts = portfolio(n);
-        let clean = multi.price_batch_simulated(&opts);
+        let clean = match multi.price_batch_resilient(&opts, &BatchPolicy::default(), None) {
+            Ok(r) => r,
+            Err(e) => return Err(TestCaseError::fail(format!("fault-free run failed: {e}"))),
+        };
         let plan = FaultPlan::new(3)
             .kill_region(format!("e{}.", kill_engine % engines), kill_cycle as Cycle);
+        let policy = BatchPolicy { fault_plan: Some(plan), ..BatchPolicy::default() };
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let run = multi.price_batch_resilient_checkpointed(
+        let run = multi.price_batch_resilient(
             &opts,
-            Some(&plan),
-            0,
-            None,
-            2,
-            |c| checkpoints.push(c.clone()),
+            &policy,
+            Some((2, &mut |c: &Checkpoint| checkpoints.push(c.clone()))),
         );
         prop_assert!(!checkpoints.is_empty(), "journal must survive the failed run");
         let last = &checkpoints[checkpoints.len() - 1];
@@ -249,5 +251,73 @@ proptest! {
         for (i, (a, b)) in resumed.spreads.iter().zip(&clean.spreads).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "option {} diverged: {} vs {}", i, a, b);
         }
+    }
+}
+
+/// Checkpointing, scrubbing and corruption together: the write-ahead
+/// journal must record the *scrubbed* spreads, not the corrupted engine
+/// outputs, so every completed entry of every checkpoint equals the
+/// report's spread bit for bit and a resume from the terminal record
+/// reproduces the report exactly.
+#[test]
+fn batch_journal_records_scrubbed_spreads() {
+    let multi = match MultiEngine::new(market(), 3) {
+        Ok(m) => m,
+        Err(e) => panic!("three engines fit: {e}"),
+    };
+    let opts = portfolio(24);
+    let plan = FaultPlan::new(0xBAD)
+        .corrupt_nth::<SpreadTok>("e1.spreads", 3, |t| SpreadTok { spread_bps: f64::NAN, ..t })
+        .corrupt_nth::<SpreadTok>("e0.spreads", 1, |t| SpreadTok {
+            spread_bps: t.spread_bps + 0.25,
+            ..t
+        });
+    let policy = BatchPolicy {
+        fault_plan: Some(plan),
+        max_attempts: 2,
+        scrub: Some(ScrubPolicy { cross_check_every: 0 }),
+    };
+    let mut checkpoints: Vec<Checkpoint> = Vec::new();
+    let report = match multi.price_batch_resilient(
+        &opts,
+        &policy,
+        Some((2, &mut |c: &Checkpoint| checkpoints.push(c.clone()))),
+    ) {
+        Ok(r) => r,
+        Err(e) => panic!("scrubbed, journalled run must succeed: {e}"),
+    };
+    match &report.scrub {
+        Some(s) => assert_eq!(s.options_quarantined, 2, "{:?}", s.quarantined),
+        None => panic!("scrub policy must produce a scrub report"),
+    }
+    assert_eq!(checkpoints.len(), opts.len() / 2, "one checkpoint per two completions");
+    for cp in &checkpoints {
+        for c in &cp.completed {
+            assert_eq!(
+                c.spread_bps.to_bits(),
+                report.spreads[c.index as usize].to_bits(),
+                "checkpoint at watermark {} journals option {} unscrubbed",
+                cp.watermark_cycle,
+                c.index
+            );
+        }
+    }
+
+    let last = match checkpoints.last() {
+        Some(c) => c,
+        None => panic!("expected checkpoints"),
+    };
+    assert!(last.is_complete());
+    let restored = match Checkpoint::parse(&last.to_text()) {
+        Ok(c) => c,
+        Err(e) => panic!("terminal record must round-trip: {e}"),
+    };
+    let resumed = match multi.resume_batch_resilient(&opts, &restored, 2) {
+        Ok(r) => r,
+        Err(e) => panic!("resume must succeed: {e}"),
+    };
+    assert_eq!(resumed.spreads.len(), report.spreads.len());
+    for (i, (a, b)) in resumed.spreads.iter().zip(&report.spreads).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "option {i}: resumed {a} vs scrubbed {b}");
     }
 }

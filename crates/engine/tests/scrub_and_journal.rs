@@ -8,7 +8,7 @@
 
 use cds_engine::checkpoint::Checkpoint;
 use cds_engine::error::CdsError;
-use cds_engine::multi::MultiEngine;
+use cds_engine::multi::{BatchPolicy, MultiEngine};
 use cds_engine::scrub::{scrub_spreads, ScrubPolicy};
 use cds_quant::cds::CdsPricer;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
@@ -38,9 +38,12 @@ fn real_journal() -> String {
         Err(e) => panic!("{e}"),
     };
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    if let Err(e) = multi.price_batch_resilient_checkpointed(&options, None, 2, None, 3, |c| {
-        checkpoints.push(c.clone());
-    }) {
+    let policy = BatchPolicy { max_attempts: 2, ..BatchPolicy::default() };
+    if let Err(e) = multi.price_batch_resilient(
+        &options,
+        &policy,
+        Some((3, &mut |c: &Checkpoint| checkpoints.push(c.clone()))),
+    ) {
         panic!("{e}");
     }
     // A mid-run checkpoint (with a genuine partial completion set), not

@@ -18,7 +18,7 @@ use crate::workload::Workload;
 use cds_cpu::parallel::price_parallel_stats;
 use cds_cpu::{CpuCdsEngine, CpuPerfModel};
 use cds_engine::config::{EngineConfig, EngineVariant};
-use cds_engine::multi::MultiEngine;
+use cds_engine::multi::{BatchPolicy, MultiEngine};
 use cds_engine::streaming::{poisson_arrivals, run_streaming};
 use cds_engine::FpgaCdsEngine;
 use cds_power::{CpuPowerModel, FpgaPowerModel};
@@ -121,7 +121,9 @@ pub fn run(seed: u64, batch: usize) -> Vec<RunMetrics> {
             Ok(m) => m,
             Err(e) => panic!("1..=5 engines must fit the U280: {e}"),
         };
-        let report = multi.price_batch_simulated(&w.options);
+        let report = multi
+            .price_batch_resilient(&w.options, &BatchPolicy::default(), None)
+            .unwrap_or_else(|e| panic!("fault-free {n}-engine run must succeed: {e}"));
         metrics.push(RunMetrics::from_multi_report(
             &format!("table2/engines-{n}"),
             &report,

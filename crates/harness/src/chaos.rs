@@ -16,7 +16,7 @@
 use crate::json::Json;
 use crate::verdict::{Case, MatrixSpec, VerdictMatrix};
 use cds_engine::config::EngineVariant;
-use cds_engine::multi::MultiEngine;
+use cds_engine::multi::{BatchPolicy, MultiEngine, MultiEngineReport};
 use cds_engine::retry::RetryPolicy;
 use cds_engine::scrub::ScrubPolicy;
 use cds_engine::streaming::{
@@ -87,6 +87,32 @@ pub struct ChaosCase {
 }
 
 impl ChaosCase {
+    /// The row of a multi-engine scenario over `total` options: a batch
+    /// deployment sheds and loses nothing, and has no latency tail.
+    fn multi(
+        name: &str,
+        total: u64,
+        r: &MultiEngineReport,
+        spreads_match_clean: bool,
+        survived: bool,
+    ) -> ChaosCase {
+        ChaosCase {
+            name: name.to_string(),
+            faults_injected: r.faults_injected,
+            options_total: total,
+            options_completed: r.spreads.len() as u64,
+            options_retried: r.options_retried,
+            options_shed: r.options_shed,
+            options_lost: 0,
+            options_quarantined: r.scrub.as_ref().map_or(0, |s| s.options_quarantined),
+            fault_events: event_strings(&r.counters.fault_events),
+            degraded: r.degraded,
+            spreads_match_clean,
+            p99_bounded: true,
+            survived,
+        }
+    }
+
     /// The gated row, in [`VERDICTS`] field order.
     fn row(&self) -> Case {
         let n = |x: u64| Json::Number(x as f64);
@@ -121,6 +147,28 @@ pub fn matrix(seed: u64, cases: &[ChaosCase]) -> VerdictMatrix {
 /// to well under this tolerance.
 fn spreads_close(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= 1e-6 * (1.0 + y.abs()))
+}
+
+/// One multi-engine scenario: `n` uniform options on `engines` engines,
+/// priced under `policy` and fault-free. Returns the faulted report and
+/// the fault-free spreads it is judged against.
+fn multi_run(
+    name: &str,
+    market: &MarketData<f64>,
+    engines: usize,
+    n: usize,
+    policy: &BatchPolicy,
+) -> (MultiEngineReport, Vec<f64>) {
+    let opts = uniform_options(n);
+    let multi = MultiEngine::new(market.clone(), engines)
+        .unwrap_or_else(|e| panic!("{engines} engines fit the U280: {e}"));
+    let run = |policy: &BatchPolicy| {
+        multi
+            .price_batch_resilient(&opts, policy, None)
+            .unwrap_or_else(|e| panic!("{name} must complete: {e}"))
+    };
+    let clean = run(&BatchPolicy::default());
+    (run(policy), clean.spreads)
 }
 
 fn uniform_options(n: usize) -> Vec<CdsOption> {
@@ -243,103 +291,50 @@ pub fn run(seed: u64) -> Vec<ChaosCase> {
     // Table II engines dies mid-run; the batch still completes with
     // spreads identical to the fault-free run.
     {
-        let opts = uniform_options(50);
-        let multi = match MultiEngine::new(market.clone(), 5) {
-            Ok(m) => m,
-            Err(e) => panic!("five engines fit the U280: {e}"),
+        let name = "multi/engine-death";
+        let policy = BatchPolicy {
+            fault_plan: Some(FaultPlan::new(seed).kill_region("e2.", 60_000)),
+            max_attempts: RetryPolicy::cascade_failover().max_attempts,
+            scrub: None,
         };
-        let clean = multi.price_batch_simulated(&opts);
-        let plan = FaultPlan::new(seed).kill_region("e2.", 60_000);
-        let r = multi
-            .price_batch_resilient_with(&opts, Some(&plan), &RetryPolicy::cascade_failover())
-            .unwrap_or_else(|e| panic!("multi/engine-death must recover: {e}"));
-        let spreads_match_clean = r.spreads == clean.spreads;
-        cases.push(ChaosCase {
-            name: "multi/engine-death".to_string(),
-            faults_injected: r.faults_injected,
-            options_total: opts.len() as u64,
-            options_completed: r.spreads.len() as u64,
-            options_retried: r.options_retried,
-            options_shed: r.options_shed,
-            options_lost: 0,
-            options_quarantined: 0,
-            fault_events: event_strings(&r.counters.fault_events),
-            degraded: r.degraded,
-            spreads_match_clean,
-            p99_bounded: true,
-            survived: spreads_match_clean
-                && r.degraded
-                && r.options_retried > 0
-                && r.faults_injected > 0,
-        });
+        let (r, clean) = multi_run(name, &market, 5, 50, &policy);
+        let matched = r.spreads == clean;
+        let survived = matched && r.degraded && r.options_retried > 0 && r.faults_injected > 0;
+        cases.push(ChaosCase::multi(name, 50, &r, matched, survived));
     }
 
     // -- multi/all-dead: every FPGA engine dies; the deployment degrades
     // to the CPU engine and still prices the whole batch.
     {
-        let opts = uniform_options(20);
-        let multi = match MultiEngine::new(market.clone(), 3) {
-            Ok(m) => m,
-            Err(e) => panic!("three engines fit the U280: {e}"),
-        };
-        let clean = multi.price_batch_simulated(&opts);
+        let name = "multi/all-dead";
         let mut plan = FaultPlan::new(seed);
         for k in 0..3 {
             plan = plan.kill_region(format!("e{k}."), 10_000);
         }
-        let r = multi
-            .price_batch_resilient_with(&opts, Some(&plan), &RetryPolicy::batch_failover())
-            .unwrap_or_else(|e| panic!("multi/all-dead must fall back to CPU: {e}"));
-        let spreads_match_clean = spreads_close(&r.spreads, &clean.spreads);
-        cases.push(ChaosCase {
-            name: "multi/all-dead".to_string(),
-            faults_injected: r.faults_injected,
-            options_total: opts.len() as u64,
-            options_completed: r.spreads.len() as u64,
-            options_retried: r.options_retried,
-            options_shed: r.options_shed,
-            options_lost: 0,
-            options_quarantined: 0,
-            fault_events: event_strings(&r.counters.fault_events),
-            degraded: r.degraded,
-            spreads_match_clean,
-            p99_bounded: true,
-            survived: spreads_match_clean && r.degraded && r.spreads.len() == opts.len(),
-        });
+        let policy = BatchPolicy {
+            fault_plan: Some(plan),
+            max_attempts: RetryPolicy::batch_failover().max_attempts,
+            scrub: None,
+        };
+        let (r, clean) = multi_run(name, &market, 3, 20, &policy);
+        let matched = spreads_close(&r.spreads, &clean);
+        let survived = matched && r.degraded && r.spreads.len() == clean.len();
+        cases.push(ChaosCase::multi(name, 20, &r, matched, survived));
     }
 
     // -- multi/stall: a slowdown inside one engine of a three-engine
     // deployment; no retries needed, numerics untouched.
     {
-        let opts = uniform_options(24);
-        let multi = match MultiEngine::new(market.clone(), 3) {
-            Ok(m) => m,
-            Err(e) => panic!("three engines fit the U280: {e}"),
+        let name = "multi/stall";
+        let policy = BatchPolicy {
+            fault_plan: Some(FaultPlan::new(seed).stall_stage("e1.hazard_out", 2_000, 22)),
+            max_attempts: RetryPolicy::batch_failover().max_attempts,
+            scrub: None,
         };
-        let clean = multi.price_batch_simulated(&opts);
-        let plan = FaultPlan::new(seed).stall_stage("e1.hazard_out", 2_000, 22);
-        let r = multi
-            .price_batch_resilient_with(&opts, Some(&plan), &RetryPolicy::batch_failover())
-            .unwrap_or_else(|e| panic!("multi/stall must complete: {e}"));
-        let spreads_match_clean = r.spreads == clean.spreads;
-        cases.push(ChaosCase {
-            name: "multi/stall".to_string(),
-            faults_injected: r.faults_injected,
-            options_total: opts.len() as u64,
-            options_completed: r.spreads.len() as u64,
-            options_retried: r.options_retried,
-            options_shed: r.options_shed,
-            options_lost: 0,
-            options_quarantined: 0,
-            fault_events: event_strings(&r.counters.fault_events),
-            degraded: r.degraded,
-            spreads_match_clean,
-            p99_bounded: true,
-            survived: spreads_match_clean
-                && !r.degraded
-                && r.options_retried == 0
-                && r.faults_injected > 0,
-        });
+        let (r, clean) = multi_run(name, &market, 3, 24, &policy);
+        let matched = r.spreads == clean;
+        let survived = matched && !r.degraded && r.options_retried == 0 && r.faults_injected > 0;
+        cases.push(ChaosCase::multi(name, 24, &r, matched, survived));
     }
 
     // -- streaming/corrupt-scrub: two spread tokens are mutated in flight,
@@ -394,44 +389,23 @@ pub fn run(seed: u64) -> Vec<ChaosCase> {
     // three-engine deployment — one NaN (guards) and one subtle bias
     // (taint tracking). Scrubbed spreads converge to the clean batch.
     {
-        let opts = uniform_options(24);
-        let multi = match MultiEngine::new(market.clone(), 3) {
-            Ok(m) => m,
-            Err(e) => panic!("three engines fit the U280: {e}"),
-        };
-        let clean = multi.price_batch_simulated(&opts);
+        let name = "multi/corrupt-scrub";
         let plan = FaultPlan::new(seed)
             .corrupt_nth::<SpreadTok>("e1.spreads", 3, |t| SpreadTok { spread_bps: f64::NAN, ..t })
             .corrupt_nth::<SpreadTok>("e0.spreads", 1, |t| SpreadTok {
                 spread_bps: t.spread_bps + 0.25,
                 ..t
             });
-        let scrub = ScrubPolicy { cross_check_every: 0 };
-        let r = multi
-            .price_batch_resilient_scrubbed_with(
-                &opts,
-                Some(&plan),
-                &RetryPolicy::batch_failover(),
-                &scrub,
-            )
-            .unwrap_or_else(|e| panic!("multi/corrupt-scrub must recover: {e}"));
+        let policy = BatchPolicy {
+            fault_plan: Some(plan),
+            max_attempts: RetryPolicy::batch_failover().max_attempts,
+            scrub: Some(ScrubPolicy { cross_check_every: 0 }),
+        };
+        let (r, clean) = multi_run(name, &market, 3, 24, &policy);
         let quarantined = r.scrub.as_ref().map_or(0, |s| s.options_quarantined);
-        let spreads_match_clean = spreads_close(&r.spreads, &clean.spreads);
-        cases.push(ChaosCase {
-            name: "multi/corrupt-scrub".to_string(),
-            faults_injected: r.faults_injected,
-            options_total: opts.len() as u64,
-            options_completed: r.spreads.len() as u64,
-            options_retried: r.options_retried,
-            options_shed: r.options_shed,
-            options_lost: 0,
-            options_quarantined: quarantined,
-            fault_events: event_strings(&r.counters.fault_events),
-            degraded: r.degraded,
-            spreads_match_clean,
-            p99_bounded: true,
-            survived: r.faults_injected == 2 && quarantined == 2 && spreads_match_clean,
-        });
+        let matched = spreads_close(&r.spreads, &clean);
+        let survived = r.faults_injected == 2 && quarantined == 2 && matched;
+        cases.push(ChaosCase::multi(name, 24, &r, matched, survived));
     }
 
     // -- streaming/kill-resume: the engine dies mid-run with a write-ahead

@@ -39,7 +39,7 @@ use crate::loadgen::{compliant_trip, flood_as_tenant, quantile, slowloris_probe,
 use crate::verdict::{Case, MatrixSpec, VerdictMatrix};
 use cds_cpu::engine::CpuCdsEngine;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
-use cds_server::fuzz::{fuzz_lines, torn_lines};
+use cds_server::fuzz::{curve_publishes, fuzz_lines, torn_lines};
 use cds_server::ladder::LadderConfig;
 use cds_server::proto::{f64_to_wire, Response};
 use cds_server::server::{resume_journal, serve, ServerConfig};
@@ -480,9 +480,10 @@ fn scenario_protocol_fuzz(seed: u64) -> Result<ServerChaosCase, String> {
     let addr = handle.addr();
 
     // Torn prefixes on one-shot connections, dropped unterminated.
-    for torn in torn_lines(seed, 12) {
+    let torn = torn_lines(seed, 12);
+    for line in &torn {
         let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-        let _ = stream.write_all(&torn);
+        let _ = stream.write_all(line);
         drop(stream);
     }
 
@@ -503,8 +504,18 @@ fn scenario_protocol_fuzz(seed: u64) -> Result<ServerChaosCase, String> {
         }
     }
     // A torn prefix can legitimately complete as a valid command (e.g.
-    // `TICK 99` cut to `TICK 9`) and republish the curve; re-publish
-    // the boot epoch so the bit-exactness check has a fixed reference.
+    // `TICK 99` cut to `TICK 9`) and republish the curve, whenever its
+    // connection's reader gets to it. Wait until every such publish has
+    // landed, then re-publish the boot epoch so the bit-exactness check
+    // has a fixed reference.
+    let publishes = curve_publishes(&torn);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !matches!(client.roundtrip("STATS")?, Response::Stats(s) if s.epoch >= publishes) {
+        if Instant::now() >= deadline {
+            return Err(format!("{publishes} torn-line curve publishes not applied within 5 s"));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
     match client.roundtrip(&format!("TICK {seed}"))? {
         Response::TickAck { .. } => {}
         other => return Err(format!("epoch republish failed: {other:?}")),

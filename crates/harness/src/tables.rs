@@ -2,7 +2,7 @@
 
 use crate::workload::Workload;
 use cds_cpu::CpuPerfModel;
-use cds_engine::multi::MultiEngine;
+use cds_engine::multi::{BatchPolicy, MultiEngine};
 use cds_engine::prelude::*;
 use cds_power::{options_per_watt, CpuPowerModel, FpgaPowerModel};
 
@@ -129,7 +129,9 @@ pub fn table2(workload: &Workload) -> Table2 {
         };
         // All N engines instantiated concurrently in one discrete-event
         // simulation; the makespan emerges from the simulator.
-        let report = multi.price_batch_simulated(&workload.options);
+        let report = multi
+            .price_batch_resilient(&workload.options, &BatchPolicy::default(), None)
+            .unwrap_or_else(|e| panic!("fault-free {n}-engine run must succeed: {e}"));
         let watts = fpga_power.watts(n as u32);
         rows.push(Table2Row {
             description: format!("{n} FPGA engine{}", if n == 1 { "" } else { "s" }),

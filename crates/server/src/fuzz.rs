@@ -13,6 +13,8 @@
 //! by `tests/hostile_clients.rs`, `cds-harness loadgen --abuser`, and
 //! the `server/protocol-fuzz` isolation scenario.
 
+use crate::proto::{decode_line, parse_request, Request};
+
 /// What a fuzz line exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuzzKind {
@@ -203,10 +205,35 @@ pub fn torn_lines(seed: u64, n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// How many of `lines`, each received as one request, publish a curve
+/// epoch (`TICK` or `TICKPT`). A torn prefix can still be a valid
+/// request (`TICK 99` cut to `TICK 9`), and the server applies it
+/// whenever that connection's reader gets to it — so a caller that needs
+/// a fixed curve reference waits until the epoch has reached this count
+/// before re-publishing its own.
+pub fn curve_publishes(lines: &[Vec<u8>]) -> u64 {
+    lines
+        .iter()
+        .filter_map(|l| decode_line(l).ok())
+        .filter(|l| {
+            matches!(parse_request(l.trim()), Ok(Request::Tick { .. } | Request::TickPoint { .. }))
+        })
+        .count() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::parse_request;
+
+    #[test]
+    fn curve_publishes_counts_torn_ticks_that_still_parse() {
+        let lines: Vec<Vec<u8>> =
+            ["TICK 9", "TICK ", "TIC", "TICKPT hazard 1 0x3ff0000000000000", "STATS", "QUOTE 1"]
+                .iter()
+                .map(|l| l.as_bytes().to_vec())
+                .collect();
+        assert_eq!(curve_publishes(&lines), 2);
+    }
 
     #[test]
     fn same_seed_same_corpus() {

@@ -9,7 +9,7 @@
 
 use cds_cpu::engine::CpuCdsEngine;
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
-use cds_server::fuzz::{fuzz_lines, torn_lines};
+use cds_server::fuzz::{curve_publishes, fuzz_lines, torn_lines};
 use cds_server::proto::{f64_to_wire, parse_response, Response};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -165,9 +165,10 @@ fn every_fuzz_line_gets_exactly_one_err_and_pricing_survives() {
 fn torn_lines_and_abrupt_disconnects_leave_the_server_serving() {
     let (mut child, addr) = spawn_server(&[]);
 
-    for torn in torn_lines(SEED, 16) {
+    let torn = torn_lines(SEED, 16);
+    for line in &torn {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(&torn).expect("send torn prefix");
+        stream.write_all(line).expect("send torn prefix");
         // Drop with the line unterminated: the server must treat the
         // EOF'd partial line as one request and move on.
         drop(stream);
@@ -176,8 +177,19 @@ fn torn_lines_and_abrupt_disconnects_leave_the_server_serving() {
     let mut client = Client::connect(addr);
     assert_eq!(client.roundtrip("PING"), Response::Pong);
     // A torn prefix can legitimately complete as a valid command (e.g.
-    // `TICK 99` cut to `TICK 9`) and republish the curve epoch, so
-    // re-publish the boot epoch before checking bit-exactness.
+    // `TICK 99` cut to `TICK 9`) and republish the curve epoch whenever
+    // its connection's reader gets to it. Wait until every such publish
+    // has landed, then re-publish the boot epoch before checking
+    // bit-exactness — otherwise a late torn `TICK 9` can overwrite it.
+    let publishes = curve_publishes(&torn);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !matches!(client.roundtrip("STATS"), Response::Stats(s) if s.epoch >= publishes) {
+        assert!(
+            Instant::now() < deadline,
+            "{publishes} torn-line curve publishes not applied within 5 s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     match client.roundtrip(&format!("TICK {SEED}")) {
         Response::TickAck { .. } => {}
         other => panic!("expected tick ack, got {other:?}"),
