@@ -206,13 +206,15 @@ impl CpuCdsEngine {
     /// ([`crate::lanes`]) — bit-for-bit identical to pricing each option
     /// with [`CpuCdsEngine::price`], just much faster.
     pub fn price_batch(&self, options: &[CdsOption]) -> Vec<f64> {
-        crate::lanes::price_batch_lanes(self, options)
+        self.price_batch_stats(options).0
     }
 
     /// Price a batch on one thread through the lane kernel, returning
     /// work accounting alongside the spreads.
     pub fn price_batch_stats(&self, options: &[CdsOption]) -> (Vec<f64>, CpuBatchStats) {
-        crate::lanes::price_batch_lanes_stats(self, options)
+        let mut out = Vec::new();
+        let stats = self.lane_kernel().price_into(options, &mut out);
+        (out, stats)
     }
 
     /// Price a batch through the per-option scalar reference path — the

@@ -325,13 +325,6 @@ impl<'e> LaneKernel<'e> {
             threads: 1,
         }
     }
-
-    /// Price a batch, allocating a fresh output vector.
-    pub fn price_batch(&mut self, options: &[CdsOption]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.price_into(options, &mut out);
-        out
-    }
 }
 
 impl CpuCdsEngine {
@@ -339,23 +332,6 @@ impl CpuCdsEngine {
     pub fn lane_kernel(&self) -> LaneKernel<'_> {
         LaneKernel::new(self)
     }
-}
-
-/// One-shot lane pricing: build a kernel, price, return the spreads.
-/// [`CpuCdsEngine::price_batch`] dispatches here.
-pub fn price_batch_lanes(engine: &CpuCdsEngine, options: &[CdsOption]) -> Vec<f64> {
-    LaneKernel::new(engine).price_batch(options)
-}
-
-/// One-shot lane pricing with work accounting.
-/// [`CpuCdsEngine::price_batch_stats`] dispatches here.
-pub fn price_batch_lanes_stats(
-    engine: &CpuCdsEngine,
-    options: &[CdsOption],
-) -> (Vec<f64>, CpuBatchStats) {
-    let mut out = Vec::new();
-    let stats = LaneKernel::new(engine).price_into(options, &mut out);
-    (out, stats)
 }
 
 #[cfg(test)]
@@ -446,7 +422,7 @@ mod tests {
     fn empty_batch() {
         let market = MarketData::paper_workload(1);
         let engine = CpuCdsEngine::new(&market);
-        let (out, stats) = price_batch_lanes_stats(&engine, &[]);
+        let (out, stats) = engine.price_batch_stats(&[]);
         assert!(out.is_empty());
         assert_eq!(stats, CpuBatchStats { threads: 1, ..CpuBatchStats::default() });
     }
@@ -470,7 +446,7 @@ mod tests {
         let mut out = Vec::new();
         reused.price_into(&short, &mut out);
         reused.price_into(&long, &mut out);
-        let fresh = price_batch_lanes(&engine, &long);
+        let fresh = engine.price_batch(&long);
         assert_eq!(out, fresh);
         assert_eq!(
             out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -483,7 +459,7 @@ mod tests {
         let market = MarketData::paper_workload(5);
         let engine = CpuCdsEngine::new(&market);
         let opts = PortfolioGenerator::new(17).portfolio(19);
-        let (_, stats) = price_batch_lanes_stats(&engine, &opts);
+        let (_, stats) = engine.price_batch_stats(&opts);
         let expected_points: u64 = opts.iter().map(|o| engine.price(o).time_points as u64).sum();
         assert_eq!(stats.options, 19);
         assert_eq!(stats.time_points, expected_points);
@@ -510,7 +486,7 @@ mod tests {
                 opts.push(CdsOption { maturity, frequency: f, recovery_rate: 0.4 });
             }
         }
-        let lanes = price_batch_lanes(&engine, &opts);
+        let lanes = engine.price_batch(&opts);
         assert_eq!(
             lanes.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             scalar_bits(&engine, &opts)
@@ -542,7 +518,7 @@ mod tests {
             frequency: PaymentFrequency::Quarterly,
             recovery_rate: 0.4,
         };
-        let _ = price_batch_lanes(&engine, &[o]);
+        let _ = engine.price_batch(&[o]);
     }
 
     #[test]
@@ -552,6 +528,6 @@ mod tests {
         let engine = CpuCdsEngine::new(&market);
         let o =
             CdsOption { maturity: 5.0e6, frequency: PaymentFrequency::Monthly, recovery_rate: 0.4 };
-        let _ = price_batch_lanes(&engine, &[o]);
+        let _ = engine.price_batch(&[o]);
     }
 }

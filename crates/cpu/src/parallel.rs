@@ -4,10 +4,10 @@
 //! priced by `std::thread::scope` threads, exactly mirroring the paper's
 //! decomposition for both the OpenMP CPU code and the multi-engine FPGA
 //! deployment ("there are no dependencies between calculations involving
-//! different options"). Each chunk goes through
-//! [`CpuCdsEngine::price_batch`], i.e. the lane kernel of
-//! [`crate::lanes`], so the thread-level and lane-level parallelism
-//! compose.
+//! different options"). Each chunk is one
+//! [`crate::lanes::LaneKernel::price_into`] call (through
+//! [`CpuCdsEngine::price_batch_stats`]), so the thread-level and
+//! lane-level parallelism compose.
 
 use crate::engine::{CpuBatchStats, CpuCdsEngine};
 use cds_quant::option::CdsOption;
@@ -26,21 +26,7 @@ fn join_or_propagate<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
 /// # Panics
 /// Panics if `threads` is zero.
 pub fn price_parallel(engine: &CpuCdsEngine, options: &[CdsOption], threads: usize) -> Vec<f64> {
-    assert!(threads > 0, "need at least one thread");
-    if options.is_empty() {
-        return Vec::new();
-    }
-    if threads == 1 || options.len() == 1 {
-        return engine.price_batch(options);
-    }
-    let chunk_size = options.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = options
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || engine.price_batch(chunk)))
-            .collect();
-        handles.into_iter().flat_map(join_or_propagate).collect()
-    })
+    price_parallel_stats(engine, options, threads).0
 }
 
 /// As [`price_parallel`], additionally returning merged work accounting
@@ -72,27 +58,9 @@ pub fn price_parallel_stats(
     let mut stats = CpuBatchStats { threads: per_chunk.len() as u64, ..CpuBatchStats::default() };
     for (chunk_spreads, chunk_stats) in per_chunk {
         spreads.extend(chunk_spreads);
-        stats.options += chunk_stats.options;
-        stats.time_points += chunk_stats.time_points;
-        stats.fused_groups += chunk_stats.fused_groups;
-        stats.scalar_fallbacks += chunk_stats.scalar_fallbacks;
+        stats.merge(&chunk_stats);
     }
     (spreads, stats)
-}
-
-/// Measure host throughput in options/second with the given thread count
-/// (used by the harness to report the real machine alongside the paper's
-/// modelled Cascade Lake).
-pub fn measure_throughput(engine: &CpuCdsEngine, options: &[CdsOption], threads: usize) -> f64 {
-    let start = std::time::Instant::now();
-    let spreads = price_parallel(engine, options, threads);
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(spreads.len(), options.len());
-    if elapsed > 0.0 {
-        options.len() as f64 / elapsed
-    } else {
-        f64::INFINITY
-    }
 }
 
 #[cfg(test)]
@@ -152,14 +120,5 @@ mod tests {
         assert!(seq_stats.time_points > 0);
         assert_eq!(seq_stats.threads, 1);
         assert_eq!(par_stats.threads, 4);
-    }
-
-    #[test]
-    fn throughput_measurable() {
-        let market = MarketData::paper_workload(21);
-        let engine = CpuCdsEngine::new(&market);
-        let options = PortfolioGenerator::new(4).portfolio(64);
-        let rate = measure_throughput(&engine, &options, 2);
-        assert!(rate > 0.0);
     }
 }

@@ -38,7 +38,7 @@ use crate::error::CdsError;
 use crate::portfolio::PortfolioState;
 use crate::report::{SpreadDelta, TickReport};
 use cds_cpu::CpuCdsEngine;
-use cds_quant::curve::{Curve, CurvePoint};
+use cds_quant::curve::Curve;
 use cds_quant::option::{CdsOption, MarketData};
 
 /// Which curve a tick targets.
@@ -56,6 +56,22 @@ impl CurveKind {
         match self {
             CurveKind::Interest => "interest",
             CurveKind::Hazard => "hazard",
+        }
+    }
+
+    /// This kind's curve in `market`.
+    pub fn curve(self, market: &MarketData<f64>) -> &Curve<f64> {
+        match self {
+            CurveKind::Interest => &market.interest,
+            CurveKind::Hazard => &market.hazard,
+        }
+    }
+
+    /// This kind's curve in `market`, mutably.
+    pub fn curve_mut(self, market: &mut MarketData<f64>) -> &mut Curve<f64> {
+        match self {
+            CurveKind::Interest => &mut market.interest,
+            CurveKind::Hazard => &mut market.hazard,
         }
     }
 }
@@ -89,6 +105,37 @@ pub struct CurveTick {
     pub knot: usize,
     /// New value at the knot.
     pub value: f64,
+}
+
+/// Rebuild the curve `tick` targets in `market` with the ticked knot's
+/// value replaced and every other point (and all tenors) kept
+/// bit-identical, re-validated by [`Curve::new`].
+///
+/// Returns `Ok(None)` for a zero-delta tick (the knot already holds the
+/// value's bits), and `Err` with the reason for a knot out of bounds or
+/// a value the curve rejects. Both tick paths share it: the server's
+/// epoch swap and [`IncrementalEngine::apply_tick`].
+pub fn replace_knot(
+    market: &MarketData<f64>,
+    tick: CurveTick,
+) -> Result<Option<Curve<f64>>, String> {
+    let curve = tick.curve.curve(market);
+    let Some(old) = curve.points().get(tick.knot) else {
+        return Err(format!(
+            "knot {} out of bounds for the {} curve ({} knots)",
+            tick.knot,
+            tick.curve,
+            curve.len()
+        ));
+    };
+    if tick.value.to_bits() == old.value.to_bits() {
+        return Ok(None);
+    }
+    let mut points = curve.points().to_vec();
+    points[tick.knot].value = tick.value;
+    Curve::new(points)
+        .map(Some)
+        .map_err(|e| format!("curve rejected ticked value {}: {e}", tick.value))
 }
 
 /// Resident book plus current epoch's curves and pricing engine, with
@@ -162,11 +209,7 @@ impl IncrementalEngine {
 
     /// Current value at a curve knot, if the knot exists.
     pub fn curve_value(&self, curve: CurveKind, knot: usize) -> Option<f64> {
-        let points = match curve {
-            CurveKind::Interest => self.market.interest.points(),
-            CurveKind::Hazard => self.market.hazard.points(),
-        };
-        points.get(knot).map(|p| p.value)
+        curve.curve(&self.market).points().get(knot).map(|p| p.value)
     }
 
     /// Insert one option, price it under the current epoch, and return
@@ -236,20 +279,9 @@ impl IncrementalEngine {
     /// **zero-delta tick**: the epoch still advances, but the affected
     /// set is empty by construction and nothing reprices.
     pub fn apply_tick(&mut self, tick: CurveTick) -> Result<TickReport, CdsError> {
-        let tenors_len = self.tenors(tick.curve).len();
-        if tick.knot >= tenors_len {
-            return Err(CdsError::Tick {
-                reason: format!(
-                    "knot {} out of bounds for the {} curve ({} knots)",
-                    tick.knot, tick.curve, tenors_len
-                ),
-            });
-        }
-        let old = match self.curve_value(tick.curve, tick.knot) {
-            Some(v) => v,
-            None => unreachable!("knot bounds checked above"),
-        };
-        if tick.value.to_bits() == old.to_bits() {
+        let rebuilt =
+            replace_knot(&self.market, tick).map_err(|reason| CdsError::Tick { reason })?;
+        let Some(rebuilt) = rebuilt else {
             self.epoch += 1;
             return Ok(TickReport {
                 epoch: self.epoch,
@@ -257,24 +289,12 @@ impl IncrementalEngine {
                 affected: 0,
                 deltas: Vec::new(),
             });
-        }
-
-        // Publish: rebuild the ticked curve (re-validated) and the
-        // pricing engine. Tenors are untouched, so the arrangement and
-        // the unaffected options' stored bits both survive the swap.
-        let target = match tick.curve {
-            CurveKind::Interest => &self.market.interest,
-            CurveKind::Hazard => &self.market.hazard,
         };
-        let mut points: Vec<CurvePoint<f64>> = target.points().to_vec();
-        points[tick.knot].value = tick.value;
-        let rebuilt = Curve::new(points).map_err(|e| CdsError::Tick {
-            reason: format!("curve rejected ticked value {}: {e}", tick.value),
-        })?;
-        match tick.curve {
-            CurveKind::Interest => self.market.interest = rebuilt,
-            CurveKind::Hazard => self.market.hazard = rebuilt,
-        }
+
+        // Publish the rebuilt curve and pricing engine. Tenors are
+        // untouched, so the arrangement and the unaffected options'
+        // stored bits both survive the swap.
+        *tick.curve.curve_mut(&mut self.market) = rebuilt;
         self.engine = CpuCdsEngine::new(&self.market);
 
         let mut affected = std::mem::take(&mut self.affected);

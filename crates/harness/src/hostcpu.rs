@@ -5,9 +5,10 @@
 //! CPU engine on the machine the harness runs on, demonstrating the same
 //! qualitative sub-linear thread scaling the paper observed.
 
+use crate::throughput::{measure, DEFAULT_MIN_SAMPLE};
 use crate::workload::Workload;
 use cds_cpu::engine::CpuCdsEngine;
-use cds_cpu::parallel::measure_throughput;
+use cds_cpu::parallel::price_parallel;
 
 /// One measured point of host CPU scaling.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,15 +21,18 @@ pub struct HostCpuRow {
     pub speedup: f64,
 }
 
-/// Measure the host CPU engine at the given thread counts.
+/// Measure the host CPU engine at the given thread counts, each with
+/// the throughput gate's sampler (a warm-up pass, then timed passes
+/// over a minimum window).
 pub fn host_report(workload: &Workload, thread_counts: &[usize]) -> Vec<HostCpuRow> {
     let engine = CpuCdsEngine::new(&workload.market);
-    // Warm up caches and page in the tables.
-    let _ = engine.price_batch(&workload.options[..workload.options.len().min(32)]);
     let mut rows = Vec::new();
     let mut single = None;
     for &threads in thread_counts {
-        let rate = measure_throughput(&engine, &workload.options, threads);
+        let rate = measure(
+            || price_parallel(&engine, &workload.options, threads).len(),
+            DEFAULT_MIN_SAMPLE,
+        );
         let base = *single.get_or_insert(rate);
         rows.push(HostCpuRow { threads, options_per_second: rate, speedup: rate / base });
     }

@@ -416,15 +416,6 @@ fn server_chaos_check_against_foreign_baseline_exits_1() {
 }
 
 #[test]
-fn loadgen_abuser_run_exits_0_with_bulkheads_held() {
-    let out = harness().args(["loadgen", "--abuser"]).output().expect("spawn harness");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("bulkheads held"), "{stdout}");
-    assert!(stdout.contains("abuser throttled"), "{stdout}");
-}
-
-#[test]
 fn isolation_with_nonexistent_baseline_exits_2_fast() {
     let out = harness()
         .args(["server-chaos", "--isolation", "--check", "/nonexistent/dir/tenant_isolation.json"])

@@ -11,8 +11,7 @@
 //! exactly one epoch's curves.
 
 use cds_cpu::engine::CpuCdsEngine;
-use cds_engine::incremental::CurveKind;
-use cds_quant::curve::Curve;
+use cds_engine::incremental::{replace_knot, CurveKind, CurveTick};
 use cds_quant::option::MarketData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -93,30 +92,17 @@ impl CurveBook {
         value: f64,
     ) -> Result<(u64, bool), String> {
         let prev = self.current();
-        let target = match curve {
-            CurveKind::Interest => &prev.market.interest,
-            CurveKind::Hazard => &prev.market.hazard,
-        };
-        let Some(old) = target.points().get(knot) else {
-            return Err(format!(
-                "knot {knot} out of bounds for the {curve} curve ({} knots)",
-                target.len()
-            ));
-        };
-        let zero_delta = value.to_bits() == old.value.to_bits();
+        let rebuilt = replace_knot(&prev.market, CurveTick { curve, knot, value })?;
+        let zero_delta = rebuilt.is_none();
         let mut market = prev.market.clone();
-        if !zero_delta {
-            let mut points = target.points().to_vec();
-            points[knot].value = value;
-            let rebuilt = Curve::new(points)
-                .map_err(|e| format!("curve rejected ticked value {value}: {e}"))?;
-            match curve {
-                CurveKind::Interest => market.interest = rebuilt,
-                CurveKind::Hazard => market.hazard = rebuilt,
+        let engine = match rebuilt {
+            Some(rebuilt) => {
+                *curve.curve_mut(&mut market) = rebuilt;
+                CpuCdsEngine::new(&market)
             }
-        }
+            None => prev.engine.clone(),
+        };
         let next = self.epoch.load(Ordering::Acquire) + 1;
-        let engine = if zero_delta { prev.engine.clone() } else { CpuCdsEngine::new(&market) };
         let snapshot = Arc::new(EpochSnapshot { epoch: next, seed: prev.seed, market, engine });
         *lock_recover(&self.slot) = snapshot;
         self.epoch.store(next, Ordering::Release);
@@ -233,9 +219,30 @@ mod tests {
 
     #[test]
     fn bad_point_ticks_are_rejected_without_publishing() {
+        // The served ERR text is the incremental engine's tick-error
+        // reason, byte for byte: both paths share `replace_knot`.
+        use cds_engine::error::CdsError;
+        use cds_engine::incremental::IncrementalEngine;
         let book = CurveBook::new(1);
-        assert!(book.publish_point(CurveKind::Interest, 99_999, 0.02).is_err());
-        assert!(book.publish_point(CurveKind::Hazard, 0, f64::NAN).is_err());
+        let mut engine = IncrementalEngine::new(MarketData::paper_workload(1));
+        let knots = book.current().market.interest.len();
+        let cases = [
+            (
+                CurveKind::Interest,
+                99_999,
+                0.02,
+                format!("knot 99999 out of bounds for the interest curve ({knots} knots)"),
+            ),
+            (CurveKind::Hazard, 0, f64::NAN, "curve rejected ticked value NaN: ".to_string()),
+        ];
+        for (curve, knot, value, want) in cases {
+            let served = book.publish_point(curve, knot, value).expect_err("invalid tick");
+            assert!(served.starts_with(&want), "{served}");
+            match engine.apply_tick(CurveTick { curve, knot, value }) {
+                Err(CdsError::Tick { reason }) => assert_eq!(reason, served),
+                other => panic!("expected a tick error, got {other:?}"),
+            }
+        }
         assert_eq!(book.epoch(), 0, "failed ticks must not publish an epoch");
     }
 
