@@ -15,7 +15,6 @@ options:
   --seed <n>                boot curve epoch seed (default 42)
   --capacity <n>            in-flight quote cap (default 256)
   --conn-capacity <n>       per-connection in-flight cap (default 256)
-  --service-micros <n>      admission service estimate per quote (default 200)
   --journal <path>          write-ahead journal path (durability off when absent)
   --cadence <n>             completions per checkpoint (default 64)
   --wal-fault <kind>@<n>    inject a journal storage fault (testing): kind is
@@ -79,9 +78,6 @@ fn main() -> ExitCode {
             "--shards" => parse_flag(&mut args, "--shards").map(|v| config.shards = v),
             "--seed" => parse_flag(&mut args, "--seed").map(|v| config.seed = v),
             "--capacity" => parse_flag(&mut args, "--capacity").map(|v| config.capacity = v),
-            "--service-micros" => {
-                parse_flag(&mut args, "--service-micros").map(|v| config.service_micros = v)
-            }
             "--journal" => {
                 parse_flag(&mut args, "--journal").map(|v: String| config.journal = Some(v.into()))
             }

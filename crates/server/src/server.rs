@@ -14,15 +14,16 @@
 //!
 //! Validate → idempotence check → tenant token bucket → degradation-
 //! ladder observation → tenant in-flight quota → per-connection cap →
-//! global in-flight cap → per-shard virtual-queue admission (the
-//! engine's M/D/1 [`AdmissionControl`] bound, in microseconds) →
-//! durable WAL accept → deficit-weighted fair dispatch. The hedger
-//! launches one hedged attempt to a different shard after
-//! [`RetryPolicy::hedge_after_micros`] of silence; a dead shard bounces
-//! its quotes back to the hedger, which re-dispatches with jittered
-//! exponential backoff while the deadline budget lasts. The
-//! [`QuoteLedger`] elects exactly one canonical spread per
-//! `(tenant, id)` no matter how many attempts race.
+//! global in-flight cap → durable WAL accept → deficit-weighted fair
+//! dispatch. The in-flight caps are the only admission bound: a quote
+//! is shed when accepted-but-unanswered work fills them, never on an
+//! estimate of service time. The hedger launches one hedged attempt to
+//! a different shard after [`RetryPolicy::hedge_after_micros`] of
+//! silence; a dead shard bounces its quotes back to the hedger, which
+//! re-dispatches with jittered exponential backoff while the deadline
+//! budget lasts. The [`QuoteLedger`] elects exactly one canonical
+//! `(spread, epoch)` per `(tenant, id)` no matter how many attempts
+//! race, and keeps it for one to two deadline budgets.
 //!
 //! ## Hostile clients
 //!
@@ -49,7 +50,6 @@ use crate::wal::{read_wal, CorruptionReport, WalError, WalFaultSpec, WalWriter};
 use cds_engine::checkpoint::Checkpoint;
 use cds_engine::journal_io::{FaultyJournalIo, JournalIo, OsJournalIo};
 use cds_engine::retry::RetryPolicy;
-use cds_engine::streaming::AdmissionControl;
 use cds_quant::option::CdsOption;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -63,6 +63,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Back-off hint on `SHED` and ladder `REJECT` replies, milliseconds.
+const SHED_RETRY_AFTER_MS: u64 = 1;
+
 /// Server configuration; [`Default`] is a sane local test server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -74,10 +77,6 @@ pub struct ServerConfig {
     pub seed: u64,
     /// In-flight cap: accepted-but-unanswered quotes beyond this shed.
     pub capacity: u64,
-    /// Virtual-queue service estimate per quote, microseconds.
-    pub service_micros: u64,
-    /// Target utilisation for the M/D/1 admission bound.
-    pub target_utilisation: f64,
     /// Deadline/backoff/hedge policy (shared with the engine layer).
     pub retry: RetryPolicy,
     /// Degradation-ladder watermarks.
@@ -124,8 +123,6 @@ impl Default for ServerConfig {
             shards: 4,
             seed: 42,
             capacity: 256,
-            service_micros: 200,
-            target_utilisation: 0.9,
             retry: RetryPolicy::server_default(),
             ladder: LadderConfig::default(),
             journal: None,
@@ -151,12 +148,6 @@ impl ServerConfig {
         }
         if self.capacity == 0 {
             return Err(ServerError::Config("in-flight capacity must be at least 1"));
-        }
-        if self.service_micros == 0 {
-            return Err(ServerError::Config("service estimate must be positive"));
-        }
-        if !(self.target_utilisation > 0.0 && self.target_utilisation < 1.0) {
-            return Err(ServerError::Config("target utilisation must be in (0, 1)"));
         }
         if self.cadence == 0 {
             return Err(ServerError::Config("checkpoint cadence must be at least 1"));
@@ -255,16 +246,14 @@ struct Stats {
 struct ShardCtl {
     dead: AtomicBool,
     stall_micros: AtomicU64,
-    /// Virtual-queue horizon: the server-relative microsecond at which
-    /// this shard would finish everything admitted to it so far.
-    free_at_micros: AtomicU64,
 }
 
 struct Core {
     config: ServerConfig,
-    admission: AdmissionControl,
     book: CurveBook,
-    ledger: QuoteLedger,
+    /// Canonical `(spread, epoch)` per `(tenant slot, request id)`, kept
+    /// one to two deadline budgets: past one, no attempt still races.
+    ledger: QuoteLedger<(f64, u64)>,
     stats: Stats,
     ladder: Mutex<DegradationLadder>,
     shards: Vec<ShardCtl>,
@@ -308,31 +297,6 @@ impl Core {
 
     fn rung(&self) -> Rung {
         Rung::from_index(self.stats.rung.load(Ordering::Relaxed) as usize)
-    }
-
-    /// Client back-off hint: the admission bound expressed in ms.
-    fn retry_after_ms(&self) -> u64 {
-        (self.admission.max_queue_cycles / 1000).max(1)
-    }
-
-    /// Per-shard virtual-queue admission (the M/D/1 bound, in µs).
-    fn admit_virtual(&self, shard: usize) -> bool {
-        let now = self.now_micros();
-        let ctl = &self.shards[shard];
-        loop {
-            let free = ctl.free_at_micros.load(Ordering::Relaxed);
-            if free.saturating_sub(now) > self.admission.max_queue_cycles {
-                return false;
-            }
-            let new_free = free.max(now) + self.admission.service_cycles_per_option;
-            if ctl
-                .free_at_micros
-                .compare_exchange(free, new_free, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return true;
-            }
-        }
     }
 
     /// Durably accept a quote, allocating its journal sequence number.
@@ -427,47 +391,58 @@ impl Ord for Scheduled {
     }
 }
 
-fn complete(core: &Core, job: &Job, spread: f64, epoch: u64, shard: Option<usize>) {
-    let (canonical, cached) = match core.ledger.record(job.tenant.slot as u64, job.id, spread) {
-        RecordOutcome::First => (spread, false),
-        RecordOutcome::Duplicate { spread } => {
+/// Answer `job` exactly once across all its attempts: the attempt that
+/// wins the `done` latch runs `account` (journal and count the outcome),
+/// releases the global, tenant and connection reservations, then sends
+/// `reply`. Every other attempt does nothing.
+fn settle(core: &Core, job: &Job, reply: Response, account: impl FnOnce()) {
+    if job.done.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    account();
+    release_inflight(core, &job.tenant, &job.conn_inflight);
+    let _ = job.resp.send(format_response(&reply));
+}
+
+/// Give back one in-flight reservation at every level: global, tenant
+/// and connection.
+fn release_inflight(core: &Core, tenant: &TenantState, conn_inflight: &AtomicU64) {
+    core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
+    tenant.release_inflight();
+    conn_inflight.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Price `job` on the calling thread against the current epoch and
+/// settle it with the ledger's canonical answer; `shard` is `None` on
+/// the CPU-fallback paths.
+fn price_inline(core: &Core, job: &Job, cached: &mut Arc<EpochSnapshot>, shard: Option<usize>) {
+    core.book.refresh(cached);
+    let priced = (cached.engine.price(&job.option).spread_bps, cached.epoch);
+    let slot = job.tenant.slot as u64;
+    let ((spread, epoch), duplicate) = match core.ledger.record(slot, job.id, priced) {
+        RecordOutcome::First => (priced, false),
+        RecordOutcome::Duplicate { canonical } => {
             core.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            (spread, true)
+            (canonical, true)
         }
     };
-    if !job.done.swap(true, Ordering::SeqCst) {
+    let reply = Response::Quote(QuoteReply {
+        id: job.id,
+        spread_bps: spread,
+        epoch,
+        shard,
+        attempts: job.attempt,
+        hedged: job.hedge_launched.load(Ordering::Relaxed),
+        cached: duplicate,
+    });
+    settle(core, job, reply, || {
         if let Some(wal) = &core.wal {
-            if let Err(e) = wal.done(job.seq, canonical) {
+            if let Err(e) = wal.done(job.seq, spread) {
                 core.note_wal_degraded("completion", &e);
             }
         }
         core.stats.completed.fetch_add(1, Ordering::Relaxed);
-        core.stats.inflight.fetch_sub(1, Ordering::Relaxed);
-        job.tenant.release_inflight();
-        job.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.resp.send(format_response(&Response::Quote(QuoteReply {
-            id: job.id,
-            spread_bps: canonical,
-            epoch,
-            shard,
-            attempts: job.attempt,
-            hedged: job.hedge_launched.load(Ordering::Relaxed),
-            cached,
-        })));
-    }
-}
-
-fn fail_deadline(core: &Core, job: &Job) {
-    if !job.done.swap(true, Ordering::SeqCst) {
-        core.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
-        core.stats.inflight.fetch_sub(1, Ordering::Relaxed);
-        job.tenant.release_inflight();
-        job.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.resp.send(format_response(&Response::Error {
-            id: Some(job.id),
-            reason: "deadline budget exhausted".to_string(),
-        }));
-    }
+    });
 }
 
 /// Next live shard at or after `start`, skipping `avoid`; `None` when
@@ -505,9 +480,7 @@ fn shard_worker(core: Arc<Core>, k: usize, rx: Arc<FairQueue<Job>>, timer_tx: Se
                     let _ = timer_tx.send(TimerEvent::Retry { job, from_shard: k });
                     continue;
                 }
-                core.book.refresh(&mut cached);
-                let spread = cached.engine.price(&job.option).spread_bps;
-                complete(&core, &job, spread, cached.epoch, Some(k));
+                price_inline(&core, &job, &mut cached, Some(k));
             }
             None => {
                 if core.shutdown.load(Ordering::Relaxed) {
@@ -557,9 +530,7 @@ fn hedger(core: Arc<Core>, rx: Receiver<TimerEvent>, senders: Vec<Arc<FairQueue<
                             // Every shard is dead: price inline on the
                             // CPU path, which is bit-identical and
                             // cannot die with the shards.
-                            core.book.refresh(&mut cached);
-                            let spread = cached.engine.price(&job.option).spread_bps;
-                            complete(&core, &job, spread, cached.epoch, None);
+                            price_inline(&core, &job, &mut cached, None);
                         }
                     }
                 }
@@ -583,7 +554,10 @@ fn hedger(core: Arc<Core>, rx: Receiver<TimerEvent>, senders: Vec<Arc<FairQueue<
                 let next_attempt = job.attempt + 1;
                 let elapsed = job.accepted_at.elapsed().as_micros() as u64;
                 if !core.config.retry.allows_attempt(next_attempt as usize, elapsed) {
-                    fail_deadline(&core, &job);
+                    let reason = "deadline budget exhausted".to_string();
+                    settle(&core, &job, Response::Error { id: Some(job.id), reason }, || {
+                        core.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
+                    });
                     continue;
                 }
                 core.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -649,12 +623,12 @@ fn handle_quote(
     // Idempotent duplicate of an already answered id (within this
     // tenant's id space): serve from the ledger without re-pricing,
     // re-journalling, or charging the token bucket.
-    if let Some(spread) = core.ledger.get(tenant_slot, q.id) {
+    if let Some((spread, epoch)) = core.ledger.get(tenant_slot, q.id) {
         core.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
         reply(Response::Quote(QuoteReply {
             id: q.id,
             spread_bps: spread,
-            epoch: core.book.epoch(),
+            epoch,
             shard: None,
             attempts: 0,
             hedged: false,
@@ -674,12 +648,12 @@ fn handle_quote(
     core.stats.rung.store(rung.index() as u64, Ordering::Relaxed);
     if rung == Rung::RejectRetryAfter {
         core.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Reject { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
+        reply(Response::Reject { id: q.id, retry_after_ms: SHED_RETRY_AFTER_MS, rung });
         return;
     }
     if rung >= Rung::ShedLowPriority && q.priority == Priority::Low {
         core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
+        reply(Response::Shed { id: q.id, retry_after_ms: SHED_RETRY_AFTER_MS, rung });
         return;
     }
     // Tenant in-flight quota: the bulkhead that keeps one tenant from
@@ -689,44 +663,23 @@ fn handle_quote(
         reply(Response::Throttle { id: q.id, retry_after_ms, tenant: ctx.tenant.name.clone() });
         return;
     }
-    let release_tenant = || {
-        ctx.tenant.release_inflight();
-    };
-    // Per-connection in-flight cap (a single pipelined connection
-    // cannot occupy the whole global capacity).
-    if ctx.conn_inflight.fetch_add(1, Ordering::SeqCst) >= core.config.conn_capacity {
-        ctx.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        release_tenant();
+    // Per-connection and global in-flight caps: a single pipelined
+    // connection cannot occupy the whole global capacity, and the
+    // global cap bounds slow consumers and overload. Both slots are
+    // taken before either is checked, so one release undoes them.
+    let conn_full = ctx.conn_inflight.fetch_add(1, Ordering::SeqCst) >= core.config.conn_capacity;
+    let global_full = core.stats.inflight.fetch_add(1, Ordering::SeqCst) >= core.config.capacity;
+    if conn_full || global_full {
+        release_inflight(core, &ctx.tenant, &ctx.conn_inflight);
         core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
-        return;
-    }
-    let release_all = || {
-        ctx.conn_inflight.fetch_sub(1, Ordering::SeqCst);
-        release_tenant();
-    };
-    // Reserve a global in-flight slot (slow-consumer / overload bound).
-    if core.stats.inflight.fetch_add(1, Ordering::SeqCst) >= core.config.capacity {
-        core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
-        release_all();
-        core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
-        return;
-    }
-    let home = (q.id % core.shards.len() as u64) as usize;
-    if !core.admit_virtual(home) {
-        core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
-        release_all();
-        core.stats.shed.fetch_add(1, Ordering::Relaxed);
-        reply(Response::Shed { id: q.id, retry_after_ms: core.retry_after_ms(), rung });
+        reply(Response::Shed { id: q.id, retry_after_ms: SHED_RETRY_AFTER_MS, rung });
         return;
     }
     // Write-ahead: the acceptance is durable before any dispatch.
     let seq = match core.accept_seq(q.id, &option, q.priority) {
         Ok(seq) => seq,
         Err(e) => {
-            core.stats.inflight.fetch_sub(1, Ordering::SeqCst);
-            release_all();
+            release_inflight(core, &ctx.tenant, &ctx.conn_inflight);
             reply(Response::Error { id: Some(q.id), reason: format!("journal: {e}") });
             return;
         }
@@ -746,11 +699,10 @@ fn handle_quote(
     };
     if rung >= Rung::CpuFallback || core.dead_shards() == core.shards.len() {
         // CPU fallback: price inline, bit-identical to the shard path.
-        core.book.refresh(cached);
-        let spread = cached.engine.price(&job.option).spread_bps;
-        complete(core, &job, spread, cached.epoch, None);
+        price_inline(core, &job, cached, None);
         return;
     }
+    let home = (q.id % core.shards.len() as u64) as usize;
     senders[home].push(job.tenant.slot, job.tenant.limits.weight, job.clone());
     let _ = timer_tx.send(TimerEvent::Hedge {
         fire_at: job.accepted_at + Duration::from_micros(core.config.retry.hedge_after_micros),
@@ -1116,7 +1068,6 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         }
         None => None,
     };
-    let admission = AdmissionControl::from_md1(config.service_micros, config.target_utilisation);
     let book = CurveBook::new(config.seed);
     let shards: Vec<ShardCtl> = (0..config.shards).map(|_| ShardCtl::default()).collect();
     // The registry pre-registers `default` plus every configured
@@ -1126,9 +1077,8 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         tenants.register(name, *limits, 0)?;
     }
     let core = Arc::new(Core {
-        admission,
         book,
-        ledger: QuoteLedger::new(),
+        ledger: QuoteLedger::with_window(Duration::from_micros(config.retry.deadline_micros)),
         stats: Stats::default(),
         ladder: Mutex::new(ladder),
         shards,

@@ -160,7 +160,7 @@ fn every_recorder_arrival_order_elects_exactly_one_canonical_spread() {
                     wins += 1;
                     assert_eq!(spread.to_bits(), canonical.to_bits(), "order {order:?}");
                 }
-                RecordOutcome::Duplicate { spread: echoed } => {
+                RecordOutcome::Duplicate { canonical: echoed } => {
                     // A loser is told the canonical spread, never its own.
                     assert_eq!(echoed.to_bits(), canonical.to_bits(), "order {order:?}");
                 }
@@ -189,7 +189,7 @@ fn threaded_racing_recorders_all_agree_on_one_winner() {
             gate.wait();
             match ledger.record(0, 7, mine) {
                 RecordOutcome::First => (true, mine),
-                RecordOutcome::Duplicate { spread } => (false, spread),
+                RecordOutcome::Duplicate { canonical } => (false, canonical),
             }
         }));
     }

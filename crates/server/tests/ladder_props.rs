@@ -133,7 +133,7 @@ proptest! {
             firsts.entry((tenant, id)).or_insert(spread);
             match ledger.record(tenant, id, spread) {
                 RecordOutcome::First => wins += 1,
-                RecordOutcome::Duplicate { spread: canonical } => {
+                RecordOutcome::Duplicate { canonical } => {
                     // Every duplicate echoes the first spread recorded
                     // by the *same tenant*, not its own and never
                     // another tenant's.

@@ -129,11 +129,13 @@ fn quotes_price_bit_identically_across_epochs_and_duplicates() {
     assert_ne!(q.spread_bps.to_bits(), q2.spread_bps.to_bits());
 
     // Re-sending an answered id is idempotent: served from the ledger,
-    // canonical bits, nothing re-priced or re-counted.
+    // canonical bits under the epoch they were priced in (not the
+    // current one), nothing re-priced or re-counted.
     let dup = expect_quote(client.quote(1, 5.0, 0.4));
     assert!(dup.cached);
     assert_eq!(dup.attempts, 0);
     assert_eq!(dup.spread_bps.to_bits(), q.spread_bps.to_bits());
+    assert_eq!(dup.epoch, q.epoch);
 
     // Invalid parameters get a typed ERR tied to the id.
     match client.quote(7, -1.0, 0.4) {
@@ -198,10 +200,9 @@ fn dead_shards_are_survived_by_retries_and_cpu_fallback() {
     assert_eq!(stats.completed, stats.accepted);
 
     // Revive both shards: service continues (possibly still on the
-    // fallback rung until the hysteresis streak clears it). A
-    // back-to-back burst can legitimately trip the virtual-queue
-    // admission bound, so act like a compliant client: honor the
-    // Retry-After hint and re-send.
+    // fallback rung until the hysteresis streak clears it). A shed is
+    // legal whenever the in-flight caps are full, so act like a
+    // compliant client: honor the Retry-After hint and re-send.
     client.roundtrip("FAULT REVIVE 0");
     client.roundtrip("FAULT REVIVE 1");
     for id in 20..60u64 {
@@ -224,6 +225,41 @@ fn dead_shards_are_survived_by_retries_and_cpu_fallback() {
     let summary = handle.wait();
     assert_eq!(summary.pending, 0);
     assert_eq!(summary.completed, summary.accepted);
+}
+
+#[test]
+fn a_healthy_server_prices_a_pipelined_burst_without_shedding() {
+    // 128 high-priority quotes fit inside the default in-flight caps,
+    // so a healthy 2-shard server owes every one of them a price: no
+    // service-time estimate may shed work the machine can do.
+    let handle = serve(ServerConfig { shards: 2, seed: 42, ..Default::default() }).expect("serve");
+    let mut client = Client::connect(handle.addr());
+    let total = 128u64;
+    for id in 0..total {
+        let maturity = 1.0 + (id % 9) as f64 * 0.5;
+        writeln!(client.writer, "QUOTE {id} {} Q {}", f64_to_wire(maturity), f64_to_wire(0.4))
+            .expect("send");
+    }
+    client.writer.flush().expect("flush");
+    let mut answered = std::collections::HashSet::new();
+    for _ in 0..total {
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).expect("recv");
+        let q = match parse_response(reply.trim()).expect("parse") {
+            Response::Quote(q) => q,
+            other => panic!("healthy server must price every quote, got {other:?}"),
+        };
+        let maturity = 1.0 + (q.id % 9) as f64 * 0.5;
+        assert_eq!(q.spread_bps.to_bits(), reference_spread(42, maturity, 0.4).to_bits());
+        assert!(answered.insert(q.id), "id {} answered twice", q.id);
+    }
+    let stats = client.stats();
+    assert_eq!(stats.shed, 0, "{stats:?}");
+    assert_eq!(stats.completed, total);
+    client.roundtrip("DRAIN");
+    let summary = handle.wait();
+    assert_eq!(summary.completed, total);
+    assert_eq!(summary.pending, 0);
 }
 
 #[test]
@@ -284,7 +320,6 @@ fn server_rejects_invalid_configs_typed() {
         (ServerConfig { shards: 0, ..Default::default() }, "shard"),
         (ServerConfig { capacity: 0, ..Default::default() }, "capacity"),
         (ServerConfig { cadence: 0, ..Default::default() }, "cadence"),
-        (ServerConfig { target_utilisation: 1.0, ..Default::default() }, "utilisation"),
     ] {
         match serve(config) {
             Err(e) => {
