@@ -54,7 +54,7 @@ pub struct Checkpoint {
     /// Seed of the active fault plan, if any.
     pub fault_seed: Option<u64>,
     /// Name of the scenario the run was recorded under (e.g. a harness
-    /// fault scenario, or a serving-layer journal label). `None` for
+    /// fault scenario). `None` for
     /// unlabelled runs; when set, [`crate::streaming::resume_streaming_from`]
     /// refuses to resume under a *different* requested scenario instead
     /// of silently replaying the wrong journal.

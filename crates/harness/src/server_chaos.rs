@@ -10,7 +10,7 @@
 //!   accepted quote bit-identically to the healthy run,
 //! - `server/kill-during-drain-resume` — a drain deadline expires with
 //!   quotes still stuck on a stalled shard; the write-ahead journal
-//!   must checkpoint them and [`resume_journal`] must finish the run
+//!   must hold them pending and [`resume_journal`] must finish the run
 //!   bit-identically to an uninterrupted one,
 //! - `server/slow-consumer-backpressure` — a client that stops reading
 //!   replies while pipelining requests; the in-flight bound must hold
@@ -231,12 +231,11 @@ fn scenario_engine_death(seed: u64) -> Result<ServerChaosCase, String> {
 }
 
 /// A drain deadline expires with quotes stuck behind a stalled shard;
-/// the journal checkpoints them and resume finishes bit-identically.
+/// the journal holds them pending and resume finishes bit-identically.
 fn scenario_kill_during_drain(seed: u64) -> Result<ServerChaosCase, String> {
     let journal: PathBuf = std::env::temp_dir()
         .join(format!("cds-server-chaos-drain-{}-{seed}.wal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(cds_server::wal::sidecar_path(&journal));
     let handle = serve(ServerConfig {
         shards: 1,
         seed,
@@ -270,7 +269,6 @@ fn scenario_kill_during_drain(seed: u64) -> Result<ServerChaosCase, String> {
     let matched = report.spreads.len() == total as usize
         && report.spreads.iter().all(|(_, _, spread, _)| spread.to_bits() == want);
     let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(cds_server::wal::sidecar_path(&journal));
     Ok(ServerChaosCase {
         name: "server/kill-during-drain-resume".to_string(),
         degraded: true,

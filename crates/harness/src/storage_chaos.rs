@@ -1,5 +1,6 @@
 //! Storage-fault injection and crash-consistency proofs for the
-//! journal/checkpoint layer, with a baseline gate.
+//! server journal and the engine's checkpoint sidecar, with a baseline
+//! gate.
 //!
 //! Where [`crate::server_chaos`] attacks the serving stack over TCP,
 //! this matrix attacks the **storage substrate underneath it**: every
@@ -24,10 +25,11 @@
 //!   no state may resume to *different bits*,
 //! * **sync ordering held** — the trace shows data fsynced before
 //!   every rename and a parent-directory sync after it
-//!   ([`sync_ordering_held`]); reverting the write-discipline fix in
-//!   `cds-server`'s `wal.rs` flips this verdict and fails the gate
-//!   (the `storage/lying-fsync` scenario honestly baselines it as
-//!   `false` — a lying fsync never reaches the trace).
+//!   ([`sync_ordering_held`]), and every server `drain commit=` marker
+//!   fsynced after it is appended ([`drain_commit_synced`]); dropping
+//!   either fsync flips this verdict and fails the gate (the
+//!   `storage/lying-fsync` scenario honestly baselines it as `false` —
+//!   a lying fsync never reaches the trace).
 //!
 //! Counts (crash states enumerated, typed failures, clean resumes)
 //! are informational only; the verdict booleans are the gate.
@@ -45,7 +47,7 @@ use cds_engine::prelude::{
 use cds_quant::option::{CdsOption, MarketData, PaymentFrequency};
 use cds_server::proto::Priority;
 use cds_server::server::{resume_journal, ResumeReport};
-use cds_server::wal::WalWriter;
+use cds_server::wal::{drain_commit_synced, WalWriter};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -71,7 +73,8 @@ pub struct StorageChaosCase {
     /// typed — none panicked, none resumed to different bits.
     pub zero_silent_corruption: bool,
     /// The write trace shows fsync-before-rename and
-    /// parent-dir-sync-after-rename throughout.
+    /// parent-dir-sync-after-rename throughout, and (for the server
+    /// journal) the drain commit marker fsynced after its append.
     pub ordering_held: bool,
     /// The scenario's overall pass verdict.
     pub survived: bool,
@@ -245,7 +248,7 @@ fn wal_scenario(
     // The intact disk is itself the final crash state; it must resume.
     let reference = resume_journal(&w.journal)
         .map_err(|e| format!("{name}: intact journal must resume: {e}"))?;
-    let ordering_held = sync_ordering_held(&w.trace);
+    let ordering_held = sync_ordering_held(&w.trace) && drain_commit_synced(&w.trace);
     let root = w.journal.parent().ok_or("journal has a parent")?.to_path_buf();
     let sweep = sweep_wal_crash_states(tag, &w.trace, &root, "journal.wal", &reference)?;
     let _ = std::fs::remove_dir_all(&root);
@@ -400,10 +403,12 @@ pub fn run(seed: u64) -> Result<Vec<StorageChaosCase>, String> {
             )?,
         ),
         // Every fsync lies: nothing the writer "synced" is actually
-        // durable, so the trace honestly fails the ordering check —
-        // and the crash sweep must STILL find zero silent states
-        // (checkpoint commit markers and cross-validation turn every
-        // half-landed sidecar into a typed refusal).
+        // durable, so the drain commit marker is never fsynced on the
+        // trace and the ordering check honestly fails — and the crash
+        // sweep must STILL find zero silent states (strict bit parsing,
+        // torn-tail handling and the `drain commit=` count check turn
+        // every half-landed journal into a clean prefix or a typed
+        // refusal).
         wal_scenario(
             "storage/lying-fsync",
             "liar",

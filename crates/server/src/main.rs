@@ -16,11 +16,11 @@ options:
   --capacity <n>            in-flight quote cap (default 256)
   --conn-capacity <n>       per-connection in-flight cap (default 256)
   --journal <path>          write-ahead journal path (durability off when absent)
-  --cadence <n>             completions per checkpoint (default 64)
+  --cadence <n>             completions per journal fsync (default 64)
   --wal-fault <kind>@<n>    inject a journal storage fault (testing): kind is
                             enospc|eio|short (at append index n) or liar
                             (fsyncs lie from fsync index n); requires --journal
-  --drain-deadline-ms <n>   drain budget before checkpointing pending (default 5000)
+  --drain-deadline-ms <n>   drain budget before committing the journal (default 5000)
   --read-timeout-ms <n>     accepted-stream read timeout (default 100)
   --write-timeout-ms <n>    accepted-stream write timeout (default 2000)
   --idle-timeout-ms <n>     close connections with no complete request line
@@ -33,7 +33,7 @@ options:
 <spec> is <rate_per_s>:<burst>:<max_inflight>:<weight>, e.g. 500:32:64:2.
 
 SIGTERM or the DRAIN command begins a graceful drain; the process exits 0
-once in-flight quotes complete or are durably checkpointed as pending.";
+once in-flight quotes complete or are left pending in the journal.";
 
 fn parse_limits(spec: &str) -> Result<TenantLimits, String> {
     let parts: Vec<&str> = spec.split(':').collect();

@@ -47,7 +47,6 @@ use crate::proto::{
 use crate::snapshot::{CurveBook, EpochSnapshot};
 use crate::tenant::{TenantError, TenantLimits, TenantRegistry, TenantState, DEFAULT_MAX_TENANTS};
 use crate::wal::{read_wal, CorruptionReport, WalError, WalFaultSpec, WalWriter};
-use cds_engine::checkpoint::Checkpoint;
 use cds_engine::journal_io::{FaultyJournalIo, JournalIo, OsJournalIo};
 use cds_engine::retry::RetryPolicy;
 use cds_quant::option::CdsOption;
@@ -83,14 +82,14 @@ pub struct ServerConfig {
     pub ladder: LadderConfig,
     /// Write-ahead journal path; `None` serves without durability.
     pub journal: Option<PathBuf>,
-    /// Completions per checkpoint sidecar rewrite.
+    /// Completions per journal fsync.
     pub cadence: u32,
     /// Storage fault to inject into the journal's IO layer (testing
     /// only; requires `journal`). The server runs normally until the
     /// fault fires, then degrades per the fail-stop contract.
     pub wal_fault: Option<WalFaultSpec>,
-    /// How long a drain waits for in-flight quotes before checkpointing
-    /// the remainder as pending.
+    /// How long a drain waits for in-flight quotes before committing
+    /// the journal with the remainder pending.
     pub drain_deadline: Duration,
     /// Read timeout on accepted streams; doubles as the poll cadence
     /// for the shutdown flag and the idle reaper.
@@ -150,7 +149,7 @@ impl ServerConfig {
             return Err(ServerError::Config("in-flight capacity must be at least 1"));
         }
         if self.cadence == 0 {
-            return Err(ServerError::Config("checkpoint cadence must be at least 1"));
+            return Err(ServerError::Config("journal fsync cadence must be at least 1"));
         }
         if self.wal_fault.is_some() && self.journal.is_none() {
             return Err(ServerError::Config("--wal-fault requires a journal"));
@@ -933,8 +932,6 @@ pub struct DrainSummary {
     /// Accepted quotes still pending when the drain deadline expired;
     /// recoverable from the journal.
     pub pending: u64,
-    /// The final checkpoint, when a journal was configured.
-    pub checkpoint: Option<Checkpoint>,
 }
 
 fn acceptor(
@@ -967,26 +964,17 @@ fn acceptor(
     while core.stats.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(2));
     }
-    let checkpoint = match &core.wal {
-        Some(wal) => match wal.finalize() {
-            Ok(cp) => Some(cp),
-            Err(e) => {
-                core.note_wal_degraded("drain finalize", &e);
-                eprintln!(
-                    "cds-server: final checkpoint failed: {e}; the durable journal prefix \
-                     remains resumable"
-                );
-                None
-            }
-        },
-        None => None,
-    };
+    if let Some(Err(e)) = core.wal.as_ref().map(WalWriter::finalize) {
+        core.note_wal_degraded("drain finalize", &e);
+        eprintln!(
+            "cds-server: drain commit failed: {e}; the durable journal prefix remains resumable"
+        );
+    }
     core.shutdown.store(true, Ordering::SeqCst);
     DrainSummary {
         accepted: core.stats.accepted.load(Ordering::Relaxed),
         completed: core.stats.completed.load(Ordering::Relaxed),
         pending: core.stats.inflight.load(Ordering::SeqCst),
-        checkpoint,
     }
 }
 
@@ -1036,7 +1024,6 @@ impl ServerHandle {
                 accepted: self.core.stats.accepted.load(Ordering::Relaxed),
                 completed: self.core.stats.completed.load(Ordering::Relaxed),
                 pending: self.core.stats.inflight.load(Ordering::Relaxed),
-                checkpoint: None,
             },
         };
         for w in self.workers {

@@ -2,14 +2,12 @@
 //!
 //! Every accepted quote is appended (and flushed) to the journal
 //! *before* it is dispatched to a shard; every completion is appended
-//! after its canonical spread is elected. Completions additionally
-//! checkpoint through the engine's [`Checkpoint`] text format (written
-//! atomically to a `.ckpt` sidecar every `cadence` completions and at
-//! drain), tagged with the `cds-server` scenario label so a resume
-//! under the wrong journal fails typed. A `SIGTERM` mid-burst therefore
-//! leaves one of two states, both safe: the drain finished (journal
-//! carries a terminal `drain commit=` line and a complete checkpoint)
-//! or it did not (accepted-but-incomplete quotes are recoverable as
+//! after its canonical spread is elected. The journal is the server's
+//! only durable record: [`read_wal`] rebuilds the accepted quotes, their
+//! completions and the drain marker from its lines alone. A `SIGTERM`
+//! mid-burst therefore leaves one of two states, both safe: the drain
+//! finished (the journal ends with a `drain commit=` line) or it did
+//! not (accepted-but-incomplete quotes are recoverable as
 //! [`WalState::pending`] and reprice bit-identically — the CPU engine
 //! is deterministic given the epoch seed).
 //!
@@ -20,20 +18,15 @@
 //! ordering testable (and its violation loud) in the `storage-chaos`
 //! harness:
 //!
-//! 1. the journal is **fsynced before** every sidecar publish, so a
-//!    checkpoint can never be durable ahead of the completions it
-//!    summarizes ([`read_wal`] cross-validates and fails typed if one
-//!    is found anyway),
-//! 2. the sidecar is published via [`Checkpoint::persist`]: tmp file →
-//!    fsync → rename → parent-directory sync, so a crash leaves the
-//!    previous checkpoint or the new one, never a torn file,
-//! 3. the terminal `drain commit=` marker is appended only after the
-//!    final checkpoint is durable, and is itself fsynced.
+//! 1. every record is flushed on append but *not* fsynced, so a power
+//!    loss may lose a tail of them,
+//! 2. the journal is fsynced every `cadence` completions,
+//! 3. the terminal `drain commit=` marker is appended, then fsynced
+//!    ([`drain_commit_synced`] checks this on a recorded trace).
 //!
-//! Per-record appends are flushed but *not* fsynced (a power loss may
-//! lose a tail of them); the journal is prefix-consistent, and every
-//! unsynced prefix resumes bit-identically — the `storage-chaos`
-//! crash-state enumeration proves it.
+//! The journal is prefix-consistent, and every unsynced prefix resumes
+//! bit-identically — the `storage-chaos` crash-state enumeration
+//! proves it.
 //!
 //! ## Fail-stop degradation
 //!
@@ -45,12 +38,9 @@
 //! the flag as the `wal-degraded` ladder observation.
 
 use crate::proto::{f64_from_wire, f64_to_wire, Priority};
-use cds_engine::checkpoint::{Checkpoint, CompletedOption, CHECKPOINT_SCHEMA_VERSION};
-use cds_engine::journal_io::{FileId, JournalIo, OsJournalIo, StorageFaultPlan};
-use cds_engine::CdsError;
+use cds_engine::journal_io::{FileId, JournalIo, JournalOp, OsJournalIo, StorageFaultPlan};
 use cds_quant::option::{CdsOption, PaymentFrequency};
 use cds_quant::QuantError;
-use dataflow_sim::Cycle;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -58,21 +48,17 @@ use std::sync::{Arc, Mutex};
 
 use crate::lock_recover;
 
-/// Scenario label stamped on every server checkpoint; resuming a
-/// journal recorded by something else fails typed instead of silently
-/// replaying the wrong work.
-pub const SERVER_SCENARIO: &str = "cds-server";
-
 const WAL_HEADER: &str = "cds-server-wal v1";
 
 /// An attributable corruption: which file, where, and why — every
 /// distinguishable corruption class [`read_wal`] can meet reports one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptionReport {
-    /// The corrupt file (journal or checkpoint sidecar).
+    /// The corrupt journal file.
     pub file: PathBuf,
     /// Byte offset of the offending record (0 when the corruption is
-    /// not positional, e.g. a cross-file inconsistency).
+    /// not positional, e.g. a record that no longer validates on
+    /// resume).
     pub offset: u64,
     /// 1-based line number of the offending record, when positional.
     pub line: Option<u64>,
@@ -106,8 +92,8 @@ pub enum WalError {
     /// durable journal prefix remains resumable, but no further
     /// appends are accepted.
     Degraded,
-    /// The journal or its checkpoint sidecar is malformed; the report
-    /// attributes the corruption to a file, offset, and cause.
+    /// The journal is malformed; the report attributes the corruption
+    /// to a file, offset, and cause.
     Corrupt(CorruptionReport),
 }
 
@@ -137,8 +123,7 @@ impl From<std::io::Error> for WalError {
 /// One accepted quote, durable before dispatch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptRecord {
-    /// Journal sequence number (dense, 0-based) — the checkpoint's
-    /// option index.
+    /// Journal sequence number (dense, 0-based).
     pub seq: u32,
     /// Client request id.
     pub id: u64,
@@ -244,10 +229,9 @@ impl std::str::FromStr for WalFaultSpec {
 struct WalInner {
     io: Arc<dyn JournalIo>,
     file: FileId,
-    ckpt_path: PathBuf,
     cadence: u32,
     accepted: u32,
-    completions: Vec<CompletedOption>,
+    completed: u32,
     degraded: bool,
 }
 
@@ -292,31 +276,10 @@ fn fsync_journal(inner: &mut WalInner) -> Result<(), WalError> {
     }
 }
 
-/// Publish the current checkpoint sidecar. The caller must have
-/// fsynced the journal first so the sidecar is never durable ahead of
-/// the completions it summarizes.
-fn publish_sidecar(inner: &mut WalInner) -> Result<Checkpoint, WalError> {
-    if inner.degraded {
-        return Err(WalError::Degraded);
-    }
-    let cp = build_checkpoint(inner);
-    match cp.persist(inner.io.as_ref(), &inner.ckpt_path) {
-        Ok(()) => Ok(cp),
-        Err(CdsError::Storage { path, cause }) => {
-            inner.degraded = true;
-            Err(WalError::Io(std::io::Error::other(format!("sidecar {path}: {cause}"))))
-        }
-        Err(other) => {
-            inner.degraded = true;
-            Err(WalError::Io(std::io::Error::other(format!("sidecar publish: {other}"))))
-        }
-    }
-}
-
 impl WalWriter {
     /// Create (truncate) a journal at `path` on the real filesystem.
-    /// `seed` is the boot curve epoch seed; `cadence` is the
-    /// completions-per-checkpoint interval.
+    /// `seed` is the boot curve epoch seed; `cadence` is the number of
+    /// completions per journal fsync.
     pub fn create(path: &Path, seed: u64, cadence: u32) -> Result<WalWriter, WalError> {
         WalWriter::create_with_io(Arc::new(OsJournalIo::new()), path, seed, cadence)
     }
@@ -330,20 +293,18 @@ impl WalWriter {
         cadence: u32,
     ) -> Result<WalWriter, WalError> {
         if cadence == 0 {
-            return Err(WalError::Config("checkpoint cadence must be at least 1"));
+            return Err(WalError::Config("journal fsync cadence must be at least 1"));
         }
         let file = io.create(path)?;
         io.append(file, format!("{WAL_HEADER}\nseed={seed}\ncadence={cadence}\n").as_bytes())?;
-        let ckpt_path = sidecar_path(path);
         Ok(WalWriter {
             seed,
             inner: Mutex::new(WalInner {
                 io,
                 file,
-                ckpt_path,
                 cadence,
                 accepted: 0,
-                completions: Vec::new(),
+                completed: 0,
                 degraded: false,
             }),
         })
@@ -375,64 +336,39 @@ impl WalWriter {
     }
 
     /// Durably record a completion (the canonical spread for `seq`).
-    /// Every `cadence` completions the journal is fsynced and the
-    /// checkpoint sidecar rewritten atomically — in that order, so the
-    /// sidecar is never durable ahead of its journal.
+    /// Every `cadence` completions the journal is fsynced.
     pub fn done(&self, seq: u32, spread_bps: f64) -> Result<(), WalError> {
         let mut inner = lock_recover(&self.inner);
         append_line(&mut inner, &format!("done seq={seq} bits={}\n", f64_to_wire(spread_bps)))?;
-        let done_cycle = inner.completions.len() as Cycle;
-        inner.completions.push(CompletedOption { index: seq, done_cycle, spread_bps });
-        if (inner.completions.len() as u32).is_multiple_of(inner.cadence) {
+        inner.completed += 1;
+        if inner.completed.is_multiple_of(inner.cadence) {
             fsync_journal(&mut inner)?;
-            publish_sidecar(&mut inner)?;
         }
         Ok(())
     }
 
-    /// Snapshot the current checkpoint (fsyncs the journal, then
-    /// rewrites the sidecar).
-    pub fn checkpoint_now(&self) -> Result<Checkpoint, WalError> {
+    /// Terminal drain record: appends the `drain commit=` line marking
+    /// how many completions the journal holds, then fsyncs it. Pending
+    /// quotes (if the drain deadline expired first) remain recoverable.
+    pub fn finalize(&self) -> Result<(), WalError> {
         let mut inner = lock_recover(&self.inner);
-        fsync_journal(&mut inner)?;
-        publish_sidecar(&mut inner)
-    }
-
-    /// Terminal drain record: fsyncs the journal, writes the final
-    /// checkpoint sidecar, and only then appends (and fsyncs) the
-    /// `drain commit=` line marking how many completions were durable
-    /// at drain. Pending quotes (if the drain deadline expired first)
-    /// remain recoverable.
-    pub fn finalize(&self) -> Result<Checkpoint, WalError> {
-        let mut inner = lock_recover(&self.inner);
-        fsync_journal(&mut inner)?;
-        let cp = publish_sidecar(&mut inner)?;
-        let commit = inner.completions.len();
+        let commit = inner.completed;
         append_line(&mut inner, &format!("drain commit={commit}\n"))?;
-        fsync_journal(&mut inner)?;
-        Ok(cp)
+        fsync_journal(&mut inner)
     }
 }
 
-fn build_checkpoint(inner: &WalInner) -> Checkpoint {
-    Checkpoint {
-        schema_version: CHECKPOINT_SCHEMA_VERSION,
-        total_options: inner.accepted,
-        cadence: inner.cadence,
-        watermark_cycle: inner.completions.len() as Cycle,
-        fault_seed: None,
-        scenario: Some(SERVER_SCENARIO.to_string()),
-        admitted: (0..inner.accepted).collect(),
-        shed: Vec::new(),
-        completed: inner.completions.clone(),
-    }
-}
-
-/// The checkpoint sidecar lives next to the journal.
-pub fn sidecar_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".ckpt");
-    PathBuf::from(os)
+/// The trace-level drain rule: every `drain commit=` append in `ops`
+/// is followed by an fsync of the same journal. A trace without a drain
+/// marker holds it vacuously; a trace whose fsyncs never reached the
+/// disk (a lying fsync) fails it.
+pub fn drain_commit_synced(ops: &[JournalOp]) -> bool {
+    ops.iter().enumerate().all(|(i, op)| match op {
+        JournalOp::Append { path, bytes } if bytes.starts_with(b"drain commit=") => {
+            ops[i + 1..].iter().any(|o| matches!(o, JournalOp::Fsync { path: p } if p == path))
+        }
+        _ => true,
+    })
 }
 
 /// Everything a journal recovers to.
@@ -440,7 +376,7 @@ pub fn sidecar_path(path: &Path) -> PathBuf {
 pub struct WalState {
     /// Boot curve epoch seed the server ran with.
     pub seed: u64,
-    /// Checkpoint cadence the server ran with.
+    /// Completions per journal fsync the server ran with.
     pub cadence: u32,
     /// Every accepted quote, in sequence order.
     pub accepted: Vec<AcceptRecord>,
@@ -448,8 +384,6 @@ pub struct WalState {
     pub done: HashMap<u32, f64>,
     /// Whether a terminal `drain commit=` record was found.
     pub drained: bool,
-    /// The checkpoint sidecar, when present and valid.
-    pub checkpoint: Option<Checkpoint>,
 }
 
 impl WalState {
@@ -544,57 +478,10 @@ fn parse_line(state: &mut WalState, line: &str) -> Result<(), String> {
     }
 }
 
-/// Cross-validate the checkpoint sidecar against the journal it
-/// summarizes: with the write discipline intact the journal is always
-/// durable first, so a sidecar that is *ahead* of the journal (more
-/// accepts, or a completion the journal never recorded, or a
-/// disagreeing spread) is corruption — typed, attributable, never a
-/// silent resume of the wrong work.
-fn cross_validate(state: &WalState, cp: &Checkpoint, ckpt_path: &Path) -> Result<(), WalError> {
-    let corrupt = |cause: String| {
-        WalError::Corrupt(CorruptionReport {
-            file: ckpt_path.to_path_buf(),
-            offset: 0,
-            line: None,
-            cause,
-        })
-    };
-    if cp.total_options as usize > state.accepted.len() {
-        return Err(corrupt(format!(
-            "checkpoint summarizes {} accepted quotes but the journal holds {} — the sidecar \
-             is durable ahead of its journal",
-            cp.total_options,
-            state.accepted.len()
-        )));
-    }
-    for c in &cp.completed {
-        match state.done.get(&c.index) {
-            None => {
-                return Err(corrupt(format!(
-                    "checkpoint holds a completion for seq {} the journal never recorded — \
-                     the sidecar is durable ahead of its journal",
-                    c.index
-                )))
-            }
-            Some(spread) if spread.to_bits() != c.spread_bps.to_bits() => {
-                return Err(corrupt(format!(
-                    "checkpoint spread for seq {} ({:016x}) disagrees with the journal \
-                     ({:016x})",
-                    c.index,
-                    c.spread_bps.to_bits(),
-                    spread.to_bits()
-                )))
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(())
-}
-
-/// Read a journal (and its checkpoint sidecar) back. A torn final line
-/// — the signature of a kill or power loss mid-write — is dropped;
-/// corruption anywhere else fails typed with an attributable
-/// [`CorruptionReport`] (file, byte offset, line, cause).
+/// Read a journal back. A torn final line — the signature of a kill or
+/// power loss mid-write — is dropped; corruption anywhere else fails
+/// typed with an attributable [`CorruptionReport`] (file, byte offset,
+/// line, cause).
 pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
     let text = std::fs::read_to_string(path)?;
     let corrupt = |offset: u64, line: Option<u64>, cause: String| {
@@ -633,14 +520,8 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
         .map_err(|cause| corrupt(c_off, Some(c_line), cause))?;
     let body = rest;
 
-    let mut state = WalState {
-        seed,
-        cadence,
-        accepted: Vec::new(),
-        done: HashMap::new(),
-        drained: false,
-        checkpoint: None,
-    };
+    let mut state =
+        WalState { seed, cadence, accepted: Vec::new(), done: HashMap::new(), drained: false };
     for (i, &(off, line_no, line)) in body.iter().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -654,43 +535,13 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
         }
     }
 
-    let ckpt_path = sidecar_path(path);
-    if ckpt_path.exists() {
-        let text = std::fs::read_to_string(&ckpt_path)?;
-        let cp = Checkpoint::parse(&text).map_err(|e| {
-            WalError::Corrupt(CorruptionReport {
-                file: ckpt_path.clone(),
-                offset: 0,
-                line: None,
-                cause: format!("checkpoint sidecar: {e}"),
-            })
-        })?;
-        match cp.scenario.as_deref() {
-            Some(SERVER_SCENARIO) => {}
-            other => {
-                return Err(WalError::Corrupt(CorruptionReport {
-                    file: ckpt_path.clone(),
-                    offset: 0,
-                    line: None,
-                    cause: format!(
-                        "checkpoint scenario {other:?} is not `{SERVER_SCENARIO}`; refusing to \
-                         resume someone else's journal"
-                    ),
-                }))
-            }
-        }
-        cross_validate(&state, &cp, &ckpt_path)?;
-        state.checkpoint = Some(cp);
-    }
     Ok(state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cds_engine::journal_io::{
-        sync_ordering_held, FaultyJournalIo, JournalOp, RecordingJournalIo,
-    };
+    use cds_engine::journal_io::{FaultyJournalIo, RecordingJournalIo};
     use cds_quant::option::PaymentFrequency;
 
     fn tmp(name: &str) -> PathBuf {
@@ -712,10 +563,7 @@ mod tests {
         let s1 = wal.accept(101, &opt(), Priority::Low).expect("accept");
         assert_eq!((s0, s1), (0, 1));
         wal.done(0, spread).expect("done");
-        let cp = wal.finalize().expect("finalize");
-        assert_eq!(cp.total_options, 2);
-        assert_eq!(cp.scenario.as_deref(), Some(SERVER_SCENARIO));
-        assert!(!cp.is_complete());
+        wal.finalize().expect("finalize");
 
         let state = read_wal(&path).expect("read");
         assert_eq!(state.seed, 42);
@@ -728,11 +576,7 @@ mod tests {
         assert_eq!(pending[0].seq, 1);
         assert_eq!(pending[0].id, 101);
         assert_eq!(pending[0].priority, Priority::Low);
-        let cp = state.checkpoint.expect("sidecar present");
-        assert_eq!(cp.completed.len(), 1);
-        assert_eq!(cp.completed[0].spread_bps.to_bits(), spread.to_bits());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sidecar_path(&path));
     }
 
     #[test]
@@ -767,82 +611,90 @@ mod tests {
             other => panic!("interior corruption must be typed, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sidecar_path(&path));
     }
 
-    #[test]
-    fn foreign_scenario_checkpoints_are_refused() {
-        let path = tmp("foreign.wal");
-        let wal = WalWriter::create(&path, 7, 1).expect("create");
-        wal.accept(1, &opt(), Priority::High).expect("accept");
-        wal.done(0, 100.0).expect("done");
-        drop(wal);
-        let ckpt = sidecar_path(&path);
-        let text = std::fs::read_to_string(&ckpt).expect("sidecar");
-        std::fs::write(&ckpt, text.replace(SERVER_SCENARIO, "corrupt-spread")).expect("rewrite");
-        match read_wal(&path) {
-            Err(WalError::Corrupt(report)) => {
-                assert_eq!(report.file, ckpt);
-                assert!(report.cause.contains("corrupt-spread"), "cause: {}", report.cause);
-            }
-            other => panic!("foreign scenario must be refused, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&ckpt);
-    }
-
-    /// Satellite regression test for the fsync-ordering fix: the trace
-    /// must show journal-fsync before every sidecar publish, tmp-file
-    /// fsync before its rename, and a parent-directory sync after — and
-    /// the terminal drain marker only after the final sidecar sync.
-    #[test]
-    fn sync_calls_happen_in_order_on_the_trace() {
-        let dir = std::env::temp_dir().join(format!("cds-wal-order-{}", std::process::id()));
+    /// Drive a journal through a recording substrate: `quotes` accepts
+    /// and completions at cadence 2, then the drain finalize.
+    fn recorded_run(tag: &str, quotes: u32) -> (PathBuf, PathBuf, Vec<JournalOp>) {
+        let dir = std::env::temp_dir().join(format!("cds-wal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("dir");
         let path = dir.join("j.wal");
         let rec = Arc::new(RecordingJournalIo::over(Arc::new(OsJournalIo::new())));
         let wal = WalWriter::create_with_io(rec.clone(), &path, 42, 2).expect("create");
-        wal.accept(1, &opt(), Priority::High).expect("accept");
-        wal.accept(2, &opt(), Priority::High).expect("accept");
-        wal.done(0, 100.0).expect("done");
-        wal.done(1, 101.0).expect("done"); // cadence hit: fsync + sidecar
+        for i in 0..quotes {
+            let seq = wal.accept(u64::from(i), &opt(), Priority::High).expect("accept");
+            wal.done(seq, 100.0 + f64::from(i)).expect("done");
+        }
         wal.finalize().expect("finalize");
-        let trace = rec.trace();
-        assert!(sync_ordering_held(&trace), "write discipline violated: {trace:#?}");
-        // Journal fsync precedes the first sidecar tmp creation.
-        let journal_fsync = trace
-            .iter()
-            .position(|op| matches!(op, JournalOp::Fsync { path: p } if *p == path))
-            .expect("journal fsync present");
-        let tmp_create = trace
-            .iter()
-            .position(
-                |op| matches!(op, JournalOp::Create { path: p } if p.to_string_lossy().contains(".ckpt.tmp")),
-            )
-            .expect("sidecar tmp created");
+        (dir, path, rec.trace())
+    }
+
+    fn is_journal_fsync(op: &JournalOp, path: &Path) -> bool {
+        matches!(op, JournalOp::Fsync { path: p } if p == path)
+    }
+
+    fn appends(op: &JournalOp, prefix: &[u8]) -> bool {
+        matches!(op, JournalOp::Append { bytes, .. } if bytes.starts_with(prefix))
+    }
+
+    /// The journal is fsynced on every `cadence`-th completion, and the
+    /// drain marker is fsynced after its append.
+    #[test]
+    fn sync_calls_happen_in_order_on_the_trace() {
+        let (dir, path, trace) = recorded_run("order", 2);
+        assert!(drain_commit_synced(&trace), "write discipline violated: {trace:#?}");
+        let second_done =
+            trace.iter().rposition(|op| appends(op, b"done seq=1 ")).expect("second done present");
         assert!(
-            journal_fsync < tmp_create,
-            "journal must be synced before the sidecar: {trace:#?}"
+            is_journal_fsync(&trace[second_done + 1], &path),
+            "the cadence-th completion must be fsynced: {trace:#?}"
         );
-        // The drain marker is the last journal append, after the final
-        // parent-directory sync, and is itself fsynced.
-        let last_dirsync = trace
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_commit_without_its_fsync_fails_the_trace_rule() {
+        let (dir, path, mut trace) = recorded_run("unsynced-drain", 2);
+        assert!(drain_commit_synced(&trace));
+        let last_fsync =
+            trace.iter().rposition(|op| is_journal_fsync(op, &path)).expect("final fsync");
+        trace.remove(last_fsync);
+        assert!(!drain_commit_synced(&trace), "an unsynced drain marker must fail: {trace:#?}");
+        // A run that never drained holds the rule vacuously.
+        let undrained: Vec<JournalOp> =
+            trace.into_iter().filter(|op| !appends(op, b"drain ")).collect();
+        assert!(drain_commit_synced(&undrained));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Per-quote write work does not grow with history: the journal is
+    /// the only file, every fsync is a cadence or drain fsync, and every
+    /// appended byte is a journal byte.
+    #[test]
+    fn per_quote_write_work_is_flat_in_history() {
+        let quotes = 64u32;
+        let (dir, path, trace) = recorded_run("flat", quotes);
+        let creates: Vec<&JournalOp> =
+            trace.iter().filter(|op| matches!(op, JournalOp::Create { .. })).collect();
+        assert_eq!(creates, [&JournalOp::Create { path: path.clone() }]);
+        assert!(
+            !trace
+                .iter()
+                .any(|op| matches!(op, JournalOp::Rename { .. } | JournalOp::SyncDir { .. })),
+            "the journal never renames or syncs a directory: {trace:#?}"
+        );
+        let fsyncs = trace.iter().filter(|op| is_journal_fsync(op, &path)).count();
+        assert_eq!(fsyncs, quotes as usize / 2 + 1);
+        let appended: usize = trace
             .iter()
-            .rposition(|op| matches!(op, JournalOp::SyncDir { .. }))
-            .expect("dir sync present");
-        let drain_append = trace
-            .iter()
-            .rposition(
-                |op| matches!(op, JournalOp::Append { path: p, bytes } if *p == path && bytes.starts_with(b"drain ")),
-            )
-            .expect("drain marker present");
-        assert!(last_dirsync < drain_append, "drain marker must follow the sidecar sync");
-        let final_fsync = trace
-            .iter()
-            .rposition(|op| matches!(op, JournalOp::Fsync { path: p } if *p == path))
-            .expect("final fsync present");
-        assert!(drain_append < final_fsync, "drain marker must be fsynced");
+            .map(|op| match op {
+                JournalOp::Append { bytes, .. } => bytes.len(),
+                _ => 0,
+            })
+            .sum();
+        let on_disk = std::fs::metadata(&path).expect("journal").len();
+        assert_eq!(appended as u64, on_disk);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -879,28 +731,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The journal alone refuses foreign or self-inconsistent files:
+    /// a header other than `cds-server-wal v1`, and a drain marker whose
+    /// count disagrees with the completions it follows.
     #[test]
-    fn sidecar_ahead_of_journal_is_typed_cross_validation_corruption() {
-        let path = tmp("ahead.wal");
-        let wal = WalWriter::create(&path, 7, 1).expect("create");
+    fn foreign_header_and_miscounted_drain_fail_typed() {
+        let path = tmp("foreign.wal");
+        let wal = WalWriter::create(&path, 7, 4).expect("create");
         wal.accept(1, &opt(), Priority::High).expect("accept");
-        wal.done(0, 100.0).expect("done"); // publishes a sidecar
+        wal.done(0, 100.0).expect("done");
+        wal.finalize().expect("finalize");
         drop(wal);
-        // Truncate the journal back to its header: the sidecar now
-        // summarizes work the journal never recorded (the state a
-        // missing journal fsync could leave behind).
         let text = std::fs::read_to_string(&path).expect("read back");
-        let header_end = text.match_indices('\n').nth(2).map(|(i, _)| i + 1).expect("header lines");
-        std::fs::write(&path, &text[..header_end]).expect("truncate");
-        match read_wal(&path) {
-            Err(WalError::Corrupt(report)) => {
-                assert_eq!(report.file, sidecar_path(&path));
-                assert!(report.cause.contains("ahead of its journal"), "cause: {}", report.cause);
+        for (bad, line) in [
+            (text.replacen(WAL_HEADER, "cds-checkpoint v1", 1), 1),
+            (text.replace("drain commit=1", "drain commit=2"), 6),
+        ] {
+            std::fs::write(&path, &bad).expect("rewrite");
+            match read_wal(&path) {
+                Err(WalError::Corrupt(report)) => assert_eq!(report.line, Some(line)),
+                other => panic!("expected typed corruption at line {line}, got {other:?}"),
             }
-            other => panic!("sidecar-ahead must be typed, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(sidecar_path(&path));
     }
 
     #[test]
