@@ -206,7 +206,9 @@ impl<'e> LaneKernel<'e> {
     /// Panics on an invalid schedule, with the same message schedule
     /// generation (and the scalar path) would have produced.
     pub fn price_into(&mut self, options: &[CdsOption], out: &mut Vec<f64>) -> CpuBatchStats {
-        self.price_positions_into(options, options.len(), |i| i, out)
+        out.clear();
+        out.resize(options.len(), 0.0);
+        self.price_positions_into(options, |i| i, out)
     }
 
     /// Price a *sparse* selection of `options`: position `j` of `out`
@@ -230,20 +232,21 @@ impl<'e> LaneKernel<'e> {
         indices: &[u32],
         out: &mut Vec<f64>,
     ) -> CpuBatchStats {
-        self.price_positions_into(options, indices.len(), |i| indices[i] as usize, out)
+        out.clear();
+        out.resize(indices.len(), 0.0);
+        self.price_positions_into(options, |i| indices[i] as usize, out)
     }
 
-    /// Shared core of the dense and sparse entry points: price the `n`
+    /// Shared core of the dense and sparse entry points (and of every
+    /// chunk of [`crate::parallel`]): price the `n = out.len()`
     /// positions `options[map(0)], …, options[map(n-1)]` into `out`.
-    fn price_positions_into(
+    pub(crate) fn price_positions_into(
         &mut self,
         options: &[CdsOption],
-        n: usize,
         map: impl Fn(usize) -> usize,
-        out: &mut Vec<f64>,
+        out: &mut [f64],
     ) -> CpuBatchStats {
-        out.clear();
-        out.resize(n, 0.0);
+        let n = out.len();
         self.ks.clear();
         self.ks.reserve(n);
         let mut time_points = 0u64;

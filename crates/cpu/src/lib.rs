@@ -12,8 +12,11 @@
 //!   plus 8-wide stub lanes, bit-for-bit identical to the scalar
 //!   reference (the Listing-1 partial-sum trick applied across options);
 //! * [`parallel`] — chunked multi-threading over `std::thread::scope`
-//!   (the OpenMP analogue), for numerical verification and host-machine
-//!   benchmarking;
+//!   (the OpenMP analogue): one body that cuts a dense batch
+//!   ([`parallel::price_parallel_stats`]) or a sparse index selection
+//!   ([`parallel::price_indices_parallel`], the incremental engine's
+//!   hot-tick reprice) into per-thread chunks, each with its own lane
+//!   kernel writing straight into the caller's output;
 //! * [`model::CpuPerfModel`] — a calibrated Cascade Lake performance
 //!   model reproducing the paper's measured CPU rows (8738.92 options/s
 //!   single-core; 8.68× scaling at 24 cores), since the paper's exact

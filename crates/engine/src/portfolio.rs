@@ -27,7 +27,12 @@
 //!   the curve, so a read at `t` touches knot `i` iff `t > tenor[i-1]`
 //!   ([`hazard_window`]). An option's largest hazard read is its
 //!   maturity, hence the affected set of a hazard tick is exactly the
-//!   options with `m > tenor[i-1]` — one maturity range query.
+//!   options with `m > tenor[i-1]`. That set is usually most of the
+//!   book, so it is built by one pass over the slab in id order (sorted
+//!   by construction) rather than a maturity range query plus a sort:
+//!   about 7 ms per 1M residents against 40–65 ms. A far-end knot with
+//!   a small affected set pays the same pass, still under 1/20 of a
+//!   full reprice.
 //!
 //! Everything here is about *which* options to reprice; the repricing
 //! itself stays in the lane kernel
@@ -194,7 +199,8 @@ pub struct PortfolioState {
     /// shared lattice at point `j` affects every bucket with `k >= j`.
     buckets: [Vec<Vec<u32>>; 4],
     /// Live ids keyed by `maturity.to_bits()` (order-preserving for the
-    /// positive maturities validation guarantees).
+    /// positive maturities validation guarantees): the interest
+    /// maturity-read range queries.
     by_maturity: BTreeSet<(u64, u32)>,
     /// Live ids keyed by `stub_mid.to_bits()`.
     by_stub_mid: BTreeSet<(u64, u32)>,
@@ -363,15 +369,21 @@ impl PortfolioState {
     /// Ids of live options affected by a value change at hazard-curve
     /// knot `knot`: exactly the residents whose maturity exceeds the
     /// previous tenor (the cumulative hazard is a prefix integral).
-    /// Sorted ascending.
+    /// One pass over the slab, so the ids come out sorted ascending.
     ///
     /// # Panics
     /// Panics if `knot` is out of bounds for `tenors`.
-    pub fn affected_by_hazard(&mut self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
+    pub fn affected_by_hazard(&self, tenors: &[f64], knot: usize, out: &mut Vec<u32>) {
         let w = hazard_window(tenors, knot);
         out.clear();
-        out.extend(range_in_window(&self.by_maturity, &w).map(|&(_, id)| id));
-        out.sort_unstable();
+        out.extend(
+            self.meta
+                .iter()
+                .zip(&self.options)
+                .enumerate()
+                .filter(|(_, (meta, option))| meta.live && option_reads_hazard(option, &w))
+                .map(|(id, _)| id as u32),
+        );
     }
 
     /// Interest knots whose window contains no shared-lattice read of

@@ -46,8 +46,9 @@
 //! storms the incremental repricing engine with single-point curve
 //! ticks against a resident book (`--options` sets the book size,
 //! default 1,048,576) and `--check results/tick_storm_baseline.json`
-//! enforces the ≥100x incremental-vs-full speedup ratio plus bitwise
-//! cleanliness of the stored spreads. `replay --json`
+//! enforces the ≥100x incremental-vs-full speedup ratio, the ≥1x
+//! hazard-mid-vs-full ratio and bitwise cleanliness of the stored
+//! spreads. `replay --json`
 //! records a checkpointed run as a journal (`--scenario` picks the named
 //! fault scenario, default `corrupt-spread`); `replay --check` re-executes
 //! a journal and exits 1 unless the spreads and write-ahead checkpoint
@@ -691,6 +692,11 @@ fn cmd_bench_tick_storm(args: &Args) -> CliResult {
             ratio(report.num("min_tick_speedup")),
             report.num("free_knots"),
             report.num("mean_affected")
+        );
+        println!(
+            "hazard-mid ticks vs full reprice: {} (required ≥ {})",
+            ratio(report.num("hazard_vs_full")),
+            ratio(report.num("min_hazard_vs_full"))
         );
         let clean = report.get("zero_delta_clean") == Some(&Json::Bool(true));
         println!(

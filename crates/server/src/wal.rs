@@ -376,8 +376,6 @@ pub fn drain_commit_synced(ops: &[JournalOp]) -> bool {
 pub struct WalState {
     /// Boot curve epoch seed the server ran with.
     pub seed: u64,
-    /// Completions per journal fsync the server ran with.
-    pub cadence: u32,
     /// Every accepted quote, in sequence order.
     pub accepted: Vec<AcceptRecord>,
     /// Canonical spread per completed sequence number.
@@ -514,14 +512,15 @@ pub fn read_wal(path: &Path) -> Result<WalState, WalError> {
     let seed = parse_kv(seed_line, "seed")
         .and_then(|v| v.parse::<u64>().map_err(|_| "bad seed".to_string()))
         .map_err(|cause| corrupt(s_off, Some(s_line), cause))?;
+    // The fsync cadence is validated but not kept: resume does not
+    // depend on how often the writer synced.
     let (c_off, c_line, cadence_line) = take_header("cadence")?;
-    let cadence = parse_kv(cadence_line, "cadence")
+    parse_kv(cadence_line, "cadence")
         .and_then(|v| v.parse::<u32>().map_err(|_| "bad cadence".to_string()))
         .map_err(|cause| corrupt(c_off, Some(c_line), cause))?;
     let body = rest;
 
-    let mut state =
-        WalState { seed, cadence, accepted: Vec::new(), done: HashMap::new(), drained: false };
+    let mut state = WalState { seed, accepted: Vec::new(), done: HashMap::new(), drained: false };
     for (i, &(off, line_no, line)) in body.iter().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -732,8 +731,9 @@ mod tests {
     }
 
     /// The journal alone refuses foreign or self-inconsistent files:
-    /// a header other than `cds-server-wal v1`, and a drain marker whose
-    /// count disagrees with the completions it follows.
+    /// a header other than `cds-server-wal v1`, a malformed `cadence=`
+    /// header line, and a drain marker whose count disagrees with the
+    /// completions it follows.
     #[test]
     fn foreign_header_and_miscounted_drain_fail_typed() {
         let path = tmp("foreign.wal");
@@ -745,6 +745,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read back");
         for (bad, line) in [
             (text.replacen(WAL_HEADER, "cds-checkpoint v1", 1), 1),
+            (text.replace("cadence=4", "cadence=four"), 3),
             (text.replace("drain commit=1", "drain commit=2"), 6),
         ] {
             std::fs::write(&path, &bad).expect("rewrite");
